@@ -78,7 +78,6 @@ class Engine:
             drain_multiplier=self.config.drain_rate_multiplier,
             residuals_fn=self._link_residuals,
         )
-        topo.events.subscribe(self.inventory.on_link_state_changed)
         topo.events.subscribe(self.flowsim.on_link_state_changed)
 
         self.clock_s = Fraction(0)
@@ -102,7 +101,7 @@ class Engine:
         self._next_flow += 1
         return fid
 
-    def _link_residuals(self) -> Dict[str, Fraction]:
+    def _link_residuals(self) -> Mapping[str, Fraction]:
         return self.inventory.snapshot().residuals()
 
     # -- submission and the FCFS loop -------------------------------------------
@@ -127,10 +126,12 @@ class Engine:
             return request.id
 
     def process_pending(self) -> List[DecisionRecord]:
-        """Drain the queue strictly in arrival order."""
+        """Drain the queue strictly in arrival order: each request's transaction
+        (negotiate, and on acceptance, placement) completes before the next
+        request is examined."""
         with self._lock:
             batch, self._queue = self._queue, []
-            return list(negotiator.run_queue(batch, self._process_one))
+            return [self._process_one(request) for request in batch]
 
     def _negotiate(self, request: DeploymentRequest):
         return negotiator.negotiate(

@@ -152,7 +152,7 @@ class FlowSimulator:
     """Owns all flows and node caches; driven by advance() and link events."""
 
     def __init__(self, topo: Topology, drain_multiplier: Fraction = Fraction(2),
-                 residuals_fn: Optional[Callable[[], Dict[str, Fraction]]] = None):
+                 residuals_fn: Optional[Callable[[], Mapping[str, Fraction]]] = None):
         self._topo = topo
         self._drain_multiplier = drain_multiplier
         # Residual bandwidth source for drain-rate sizing; defaults to raw capacity.
@@ -191,7 +191,7 @@ class FlowSimulator:
             booked_mbps=plan.booked_mbps,
             booking_owner=plan.booking_owner,
         )
-        self._assign_state(flow)
+        self._assign_state(flow)  # a new flow holds no data, so needs no drain rate
         self.flows[flow.id] = flow
         return flow
 
@@ -220,18 +220,18 @@ class FlowSimulator:
         nodes = self._topo.path_nodes(flow.source.node, flow.path)
         return nodes[: down_index + 1]
 
-    def _assign_state(self, flow: Flow) -> None:
+    def _assign_state(self, flow: Flow) -> bool:
+        """Set the flow's state from its path's links; True when the flow is
+        restored holding data and still needs a drain rate."""
         down = self._first_down_index(flow.path)
         if down is None:
             # Restored path. Buffered data stays parked at its cache node and
             # keeps occupying that cache until the drain finishes.
-            if flow.buffered_mbit > 0:
-                if flow.drain_rate_mbps == 0:
-                    flow.drain_rate_mbps = self._drain_rate_for(flow)
-            else:
-                flow.cache_node = None
             flow.state = FlowState.ACTIVE
-            return
+            if flow.buffered_mbit > 0:
+                return flow.drain_rate_mbps == 0
+            flow.cache_node = None
+            return False
         # Broken path: cache at the most downstream reachable cache with free
         # space, otherwise stall. A flow already caching keeps its cache node
         # while that node remains reachable.
@@ -239,7 +239,7 @@ class FlowSimulator:
         reachable = self._upstream_nodes(flow, down)
         if flow.cache_node in reachable:
             flow.state = FlowState.CACHING
-            return
+            return False
         for node_id in reversed(reachable):
             cache = self.caches.get(node_id)
             if cache is None:
@@ -247,22 +247,29 @@ class FlowSimulator:
             if cache.occupied_mbit(self.flows) < cache.capacity_mbit:
                 flow.state = FlowState.CACHING
                 flow.cache_node = node_id
-                return
+                return False
         flow.state = FlowState.STALLED
         if flow.buffered_mbit == 0:
             flow.cache_node = None
+        return False
 
-    def _drain_rate_for(self, flow: Flow) -> Fraction:
+    def _drain_rate_for(self, flow: Flow, residuals: Mapping[str, Fraction]) -> Fraction:
         if not flow.path:
             return self._drain_multiplier * flow.rate_mbps
-        residuals = self._residuals_fn()
         residual = min(residuals.get(lid, Fraction(0)) for lid in flow.path)
         return max(Fraction(0), min(self._drain_multiplier * flow.rate_mbps, residual))
 
     def on_link_state_changed(self, event: LinkStateChanged) -> None:
-        for flow in self.flows.values():
-            if event.link_id in flow.path:
-                self._assign_state(flow)
+        restored = [
+            flow for flow in self.flows.values()
+            if event.link_id in flow.path and self._assign_state(flow)
+        ]
+        # Residuals are read once per event, and only when a restored flow
+        # needs a drain rate; reassigning flows does not change them.
+        if restored:
+            residuals = self._residuals_fn()
+            for flow in restored:
+                flow.drain_rate_mbps = self._drain_rate_for(flow, residuals)
 
     # -- time ---------------------------------------------------------------------
 
@@ -289,12 +296,14 @@ class FlowSimulator:
             wanted = inflow_rate * dt_s
             cache_accept[node_id] = min(Fraction(1), free / wanted) if wanted > 0 else Fraction(1)
 
-        for flow in sorted(self.flows.values(), key=lambda f: f.id):
+        # Each flow's counters depend only on that flow and cache_accept, so
+        # the order of this loop does not matter.
+        for flow in self.flows.values():
             produced = flow.rate_mbps * dt_s
             flow.sourced_mbit += produced
             if flow.state is FlowState.ACTIVE:
                 flow.delivered_mbit += produced
-                if flow.buffered_mbit > 0 and flow.drain_rate_mbps > 0:
+                if flow.buffered_mbit and flow.drain_rate_mbps:  # both never negative
                     drained = min(flow.buffered_mbit, flow.drain_rate_mbps * dt_s)
                     flow.buffered_mbit -= drained
                     flow.delivered_mbit += drained

@@ -16,7 +16,9 @@ import struct
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .events import Dispatcher, PlacementCreated
 from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES, mbps
@@ -88,10 +90,11 @@ class NodeState:
 
 @dataclass(frozen=True)
 class LinkState:
+    """Bandwidth bookings on one link; its up/down state lives in the topology."""
+
     link_id: str
     capacity_mbps: Fraction
     reserved_mbps: Fraction = Fraction(0)
-    up: bool = True
 
     @property
     def residual_mbps(self) -> Fraction:
@@ -106,15 +109,22 @@ class InventoryView:
     links: Mapping[str, LinkState]
     reservations: Mapping[str, Reservation]
     placements: Mapping[str, Placement]
+    down_links: FrozenSet[str] = frozenset()  # links down when the view was taken
 
-    def residuals(self) -> Dict[str, Fraction]:
-        """Per-link unreserved bandwidth over up links (down links excluded)."""
-        return {
-            lid: ls.residual_mbps for lid, ls in self.links.items() if ls.up
-        }
+    def residuals(self) -> Mapping[str, Fraction]:
+        """Per-link unreserved bandwidth over up links (down links excluded).
 
-    def node_free(self, node_id: str) -> ResourceVector:
-        return self.nodes[node_id].free
+        Built on first use and shared by every later call on this view; it is
+        read-only, so a caller that books against it works on a copy.
+        """
+        return self._residuals
+
+    @cached_property
+    def _residuals(self) -> Mapping[str, Fraction]:
+        return MappingProxyType({
+            lid: ls.residual_mbps for lid, ls in self.links.items()
+            if lid not in self.down_links
+        })
 
 
 class Inventory:
@@ -122,13 +132,14 @@ class Inventory:
 
     def __init__(self, topo: Topology):
         self._lock = threading.RLock()
+        self._topo = topo
         self.events = Dispatcher()
         self._nodes: Dict[str, NodeState] = {
             n.id: NodeState(node_id=n.id, capacity=n.capacity)
             for n in topo.nodes.values()
         }
         self._links: Dict[str, LinkState] = {
-            l.id: LinkState(link_id=l.id, capacity_mbps=l.bandwidth_mbps, up=l.up)
+            l.id: LinkState(link_id=l.id, capacity_mbps=l.bandwidth_mbps)
             for l in topo.links.values()
         }
         self._reservations: Dict[str, Reservation] = {}
@@ -144,13 +155,10 @@ class Inventory:
                 links=dict(self._links),
                 reservations=dict(self._reservations),
                 placements=dict(self._placements),
+                down_links=frozenset(
+                    lid for lid, link in self._topo.links.items() if not link.up
+                ),
             )
-
-    def on_link_state_changed(self, event) -> None:
-        with self._lock:
-            ls = self._links.get(event.link_id)
-            if ls is not None:
-                self._links[event.link_id] = replace(ls, up=event.up)
 
     # -- two-phase reservation lifecycle --------------------------------------
 
@@ -186,7 +194,7 @@ class Inventory:
                 ls = self._links.get(lid)
                 if ls is None:
                     raise InventoryError(f"unknown link {lid!r}")
-                if not ls.up:
+                if not self._topo.links[lid].up:
                     raise InsufficientResources(f"link {lid}", "link is down")
                 if ls.reserved_mbps + needed > ls.capacity_mbps:
                     shortfall = ls.reserved_mbps + needed - ls.capacity_mbps
@@ -367,7 +375,7 @@ class Inventory:
                     lid: {
                         "capacity_mbps": str(ls.capacity_mbps),
                         "reserved_mbps": str(ls.reserved_mbps),
-                        "up": ls.up,
+                        "up": self._topo.links[lid].up,
                     }
                     for lid, ls in sorted(self._links.items())
                 },
@@ -418,7 +426,6 @@ class Inventory:
                     link_id=lid,
                     capacity_mbps=Fraction(ld["capacity_mbps"]),
                     reserved_mbps=Fraction(ld["reserved_mbps"]),
-                    up=bool(ld["up"]),
                 )
                 for lid, ld in doc["links"].items()
             }

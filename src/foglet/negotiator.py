@@ -78,7 +78,8 @@ def negotiate(
         return Rejected(reasons=tuple(reasons), verdicts=verdicts)
 
     scores = tuple(
-        scheduler.priority(v.node_id, request, view, topo, config) for v in passing
+        scheduler.priority(v.node_id, request, view, topo, config, v.path_metrics)
+        for v in passing
     )
     chosen = scheduler.choose(scores)
 
@@ -124,17 +125,6 @@ def negotiate(
         verdicts=verdicts,
         scores=scores,
     )
-
-
-def run_queue(requests, process_one):
-    """Strictly sequential first-come-first-served processing.
-
-    `process_one` runs a single request's full transaction (negotiate, and on
-    acceptance, placement) and returns its decision record; the next request
-    is not examined until it returns.
-    """
-    for request in requests:
-        yield process_one(request)
 
 
 def _reasons_after_choice(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .config import EngineConfig
 from .inventory import InventoryView
@@ -34,7 +34,7 @@ from .model import (
     Placement,
     ResourceVector,
 )
-from .topology import Path, Topology, Unreachable
+from .topology import Path, PathMetrics, Topology, Unreachable
 
 _PROFILE_WEIGHTS = {
     ComputeProfile.GENERAL_PURPOSE: (1 / 3, 1 / 3, 1 / 3),
@@ -59,6 +59,9 @@ class FilterVerdict:
     node_id: str
     passed: bool
     checks: Tuple[CheckResult, ...]
+    # Metrics of the path toward each network requirement's endpoint, in
+    # request order (None: unreachable); priority() scores from these.
+    path_metrics: Tuple[Optional[PathMetrics], ...] = ()
 
     def failures(self) -> Tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -139,22 +142,35 @@ def _covered_rate(component: ApplicationComponent, endpoint_id: str) -> Fraction
     )
 
 
+def _requirement_metrics(
+    node_ids: Sequence[str], request: DeploymentRequest, view: InventoryView, topo: Topology
+) -> Mapping[str, Tuple[Optional[PathMetrics], ...]]:
+    """For each node, the metrics of its path toward each network requirement's
+    endpoint, in request order (None: unreachable); one BFS per endpoint."""
+    residuals = view.residuals() if request.network_requirements else {}
+    routes = [
+        topo.paths_to(topo.endpoint_node(req.endpoint), node_ids, residuals)
+        for req in request.network_requirements
+    ]
+    return {
+        node_id: tuple(
+            None if paths[node_id] is None else topo.path_metrics(paths[node_id], residuals)
+            for paths in routes
+        )
+        for node_id in node_ids
+    }
+
+
 def _network_check(
     req: NetworkRequirement,
-    node_id: str,
+    metrics: Optional[PathMetrics],
     request: DeploymentRequest,
-    view: InventoryView,
-    topo: Topology,
     config: EngineConfig,
 ) -> CheckResult:
     name = f"network:{req.endpoint}"
-    thresholds = config.threshold_for(req.profile)
-    residuals = view.residuals()
-    try:
-        path = topo.path_between(node_id, topo.endpoint_node(req.endpoint), residuals)
-    except Unreachable:
+    if metrics is None:
         return CheckResult(name, False, "endpoint unreachable over up links")
-    metrics = topo.path_metrics(path, residuals)
+    thresholds = config.threshold_for(req.profile)
     problems = []
     if thresholds.min_bandwidth_mbps is not None and not metrics.bandwidth_at_least(
         thresholds.min_bandwidth_mbps
@@ -202,8 +218,10 @@ def feasible_nodes(
 ) -> List[FilterVerdict]:
     """One verdict per hostable node, every check evaluated (no short-circuit)."""
     footprint = effective_footprint(request, config)
+    nodes = sorted(topo.hostable_nodes, key=lambda n: n.id)
+    routed = _requirement_metrics([n.id for n in nodes], request, view, topo)
     verdicts = []
-    for node in sorted(topo.hostable_nodes, key=lambda n: n.id):
+    for node in nodes:
         checks: List[CheckResult] = []
         state = view.nodes[node.id]
         short = footprint.shortfalls(state.free)
@@ -224,12 +242,14 @@ def feasible_nodes(
             checks.append(CheckResult(
                 f"access:{label}", ok, "label present" if ok else "label missing"
             ))
-        for req in request.network_requirements:
-            checks.append(_network_check(req, node.id, request, view, topo, config))
+        metrics = routed[node.id]
+        for req, req_metrics in zip(request.network_requirements, metrics):
+            checks.append(_network_check(req, req_metrics, request, config))
         verdicts.append(FilterVerdict(
             node_id=node.id,
             passed=all(c.passed for c in checks),
             checks=tuple(checks),
+            path_metrics=metrics,
         ))
     return verdicts
 
@@ -240,12 +260,14 @@ def priority(
     view: InventoryView,
     topo: Topology,
     config: EngineConfig,
+    path_metrics: Optional[Sequence[Optional[PathMetrics]]] = None,
 ) -> ScoredNode:
     """Score a filter-passing node in [0, 1].
 
     capacity_fit: profile-weighted mean of post-placement free-capacity
     fractions; network_slack: mean headroom over the request's bandwidth
-    floors; tier_preference: configured per-tier constant.
+    floors; tier_preference: configured per-tier constant. `path_metrics` is
+    the node's FilterVerdict.path_metrics; without it the node is routed here.
     """
     node = topo.nodes[node_id]
     state = view.nodes[node_id]
@@ -272,20 +294,16 @@ def priority(
         )
         capacity_fit = sum(w * f for w, f in zip(weights, fractions))
 
-    residuals = view.residuals()
+    if path_metrics is None:
+        path_metrics = _requirement_metrics([node_id], request, view, topo)[node_id]
     slack_terms = []
-    for req in request.network_requirements:
+    for req, metrics in zip(request.network_requirements, path_metrics):
         thresholds = config.threshold_for(req.profile)
         if thresholds.min_bandwidth_mbps is None or thresholds.min_bandwidth_mbps == 0:
             slack_terms.append(1.0)
-            continue
-        try:
-            path = topo.path_between(node_id, topo.endpoint_node(req.endpoint), residuals)
-        except Unreachable:
+        elif metrics is None:
             slack_terms.append(0.0)
-            continue
-        metrics = topo.path_metrics(path, residuals)
-        if metrics.bottleneck_mbps is None:
+        elif metrics.bottleneck_mbps is None:
             slack_terms.append(1.0)
         else:
             slack_terms.append(

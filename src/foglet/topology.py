@@ -1,22 +1,19 @@
 """The infrastructure graph: nodes, links, endpoints, and path computation.
 
 Nodes and links are fixed for the lifetime of a topology; the only mutable
-bit is per-link up/down state, changes to which are published as
+bit is per-link up/down state, which the topology alone owns (the inventory
+and the flow simulator read it here), changes to which are published as
 LinkStateChanged events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .events import Dispatcher, LinkStateChanged
 from .model import ResourceVector, Tier, mbps
-
-# Bandwidth of an empty path (co-located source and sink): effectively
-# unconstrained. Kept finite-typed as None and handled by PathMetrics.
-INFINITE_BANDWIDTH = None
 
 
 class TopologyError(Exception):
@@ -88,7 +85,8 @@ class Topology:
         self.links: Dict[str, Link] = {}
         self.endpoints: Dict[str, Endpoint] = {}
         self.events = Dispatcher()
-        self._adjacency: Dict[str, List[str]] = {}
+        # node -> (incident link, node at its other end)
+        self._adjacency: Dict[str, List[Tuple[Link, str]]] = {}
 
         for n in nodes:
             if n.id in self.nodes:
@@ -108,8 +106,8 @@ class Topology:
             if l.latency_ms < 0 or l.jitter_ms < 0:
                 raise TopologyError(f"link {l.id!r} has negative latency or jitter")
             self.links[l.id] = l
-            self._adjacency[l.a].append(l.id)
-            self._adjacency[l.b].append(l.id)
+            self._adjacency[l.a].append((l, l.b))
+            self._adjacency[l.b].append((l, l.a))
         for e in endpoints:
             if e.id in self.endpoints:
                 raise TopologyError(f"duplicate endpoint id {e.id!r}")
@@ -133,8 +131,7 @@ class Topology:
         stack = [start]
         while stack:
             at = stack.pop()
-            for lid in self._adjacency[at]:
-                nxt = self.links[lid].other(at)
+            for _, nxt in self._adjacency[at]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -177,46 +174,54 @@ class Topology:
             out.append(at)
         return out
 
-    def _min_hop_paths(self, a: str, b: str) -> List[Path]:
-        """All minimum-hop simple paths from a to b over up links."""
-        if a == b:
-            return [()]
-        # BFS distance layers over up links only.
-        dist = {a: 0}
-        frontier = [a]
-        while frontier and b not in dist:
+    def _hops_to(self, target: str, stop: Optional[str] = None) -> Dict[str, int]:
+        """BFS hop counts to `target` over up links; with `stop`, only up to
+        and including the layer that holds it."""
+        dist = {target: 0}
+        frontier = [target]
+        while frontier and stop not in dist:
             nxt = []
             for at in frontier:
-                for lid in self._adjacency[at]:
-                    link = self.links[lid]
-                    if not link.up:
-                        continue
-                    other = link.other(at)
-                    if other not in dist:
-                        dist[other] = dist[at] + 1
+                hops = dist[at] + 1
+                for link, other in self._adjacency[at]:
+                    if link.up and other not in dist:
+                        dist[other] = hops
                         nxt.append(other)
             frontier = nxt
-        if b not in dist:
-            return []
-        # Walk backwards from b along strictly-decreasing distance.
-        paths: List[Path] = []
+        return dist
 
-        def backtrack(at: str, suffix: List[str]) -> None:
-            if at == a:
-                paths.append(tuple(reversed(suffix)))
-                return
-            for lid in self._adjacency[at]:
-                link = self.links[lid]
-                if not link.up:
-                    continue
-                prev = link.other(at)
-                if dist.get(prev) == dist[at] - 1:
-                    suffix.append(lid)
-                    backtrack(prev, suffix)
-                    suffix.pop()
-
-        backtrack(b, [])
-        return paths
+    def _widest_min_hop(self, source: str, target: str, dist: Mapping[str, int],
+                        residual: Mapping[str, Fraction]) -> Path:
+        """path_between(source, target) given `dist`, the hop counts to
+        `target`, complete up to dist[source]. Costs the size of the min-hop
+        sub-DAG between the two nodes."""
+        # The sub-DAG, one layer per hop count from `source`: toward[u] lists
+        # u's steps (link id, residual, next node) one hop closer to `target`.
+        toward: Dict[str, list] = {}
+        layers = [[source]]
+        for _ in range(dist[source]):
+            nxt: List[str] = []
+            seen = set()
+            for at in layers[-1]:
+                closer = dist[at] - 1
+                steps = toward[at] = []
+                for link, other in self._adjacency[at]:
+                    if link.up and dist.get(other) == closer:
+                        steps.append((link.id, residual.get(link.id, link.bandwidth_mbps), other))
+                        if other not in seen:
+                            seen.add(other)
+                            nxt.append(other)
+            layers.append(nxt)
+        # The tie-break reads link ids from the smaller-id end.
+        if source < target:
+            order = [at for layer in reversed(layers[:-1]) for at in layer]
+            return _widest_walk(source, target, toward, order)
+        back: Dict[str, list] = {at: [] for layer in layers[1:] for at in layer}
+        for at, steps in toward.items():
+            for lid, width, other in steps:
+                back[other].append((lid, width, at))
+        order = [at for layer in layers[1:] for at in layer]
+        return tuple(reversed(_widest_walk(target, source, back, order)))
 
     def path_between(self, a: str, b: str, residual: Mapping[str, Fraction]) -> Path:
         """Deterministic routing: minimum hops, then maximum bottleneck residual
@@ -231,21 +236,29 @@ class Topology:
                 raise TopologyError(f"unknown node {node_id!r}")
         if a == b:
             return ()
-        lo, hi = (a, b) if a <= b else (b, a)
-        candidates = self._min_hop_paths(lo, hi)
-        if not candidates:
+        dist = self._hops_to(b, stop=a)
+        if a not in dist:
             raise Unreachable(a, b)
+        return self._widest_min_hop(a, b, dist, residual)
 
-        def bottleneck(path: Path) -> Fraction:
-            return min(residual.get(lid, self.links[lid].bandwidth_mbps) for lid in path)
-
-        best = min(candidates, key=lambda p: (-bottleneck(p), p))
-        return best if a == lo else tuple(reversed(best))
+    def paths_to(self, target: str, sources: Iterable[str],
+                 residual: Mapping[str, Fraction]) -> Dict[str, Optional[Path]]:
+        """path_between(s, target, residual) for every source s, from one BFS
+        out of `target`; None where s cannot reach it."""
+        if target not in self.nodes:
+            raise TopologyError(f"unknown node {target!r}")
+        dist = self._hops_to(target)
+        return {
+            s: None if s not in dist
+            else () if s == target
+            else self._widest_min_hop(s, target, dist, residual)
+            for s in sources
+        }
 
     def path_metrics(self, path: Path, residual: Mapping[str, Fraction]) -> PathMetrics:
         """Aggregate metrics of a path: min residual bandwidth, summed latency/jitter."""
         if not path:
-            return PathMetrics(INFINITE_BANDWIDTH, Fraction(0), Fraction(0), 0)
+            return PathMetrics(None, Fraction(0), Fraction(0), 0)
         links = [self.links[lid] for lid in path]
         return PathMetrics(
             bottleneck_mbps=min(
@@ -255,6 +268,38 @@ class Topology:
             total_jitter_ms=sum((l.jitter_ms for l in links), Fraction(0)),
             hops=len(links),
         )
+
+
+def _widest_walk(start: str, goal: str, steps: Mapping[str, list],
+                 order: Sequence[str]) -> Path:
+    """The widest path from `start` to `goal` in a DAG of equal-length paths,
+    ties to the lexicographically smallest link-id sequence.
+
+    `steps[u]` lists (link id, residual, next node) for u's links toward
+    `goal`; `order` lists every node but `goal`, each after the nodes its
+    steps lead to. A max-min pass gives each node the best bottleneck it can
+    still reach `goal` with; the walk then takes, at each node, the smallest
+    link id that keeps that best bottleneck of `start` reachable.
+    """
+    width: Dict[str, Optional[Fraction]] = {goal: None}  # None: unbounded
+    for at in order:
+        best = None
+        for _, residual, nxt in steps[at]:
+            rest = width[nxt]
+            through = residual if rest is None or residual < rest else rest
+            if best is None or through > best:
+                best = through
+        width[at] = best
+    need = width[start]
+    path = []
+    at = start
+    while at != goal:
+        lid, at = min(
+            (lid, nxt) for lid, residual, nxt in steps[at]
+            if residual >= need and (width[nxt] is None or width[nxt] >= need)
+        )
+        path.append(lid)
+    return tuple(path)
 
 
 _TIER_ALIASES = {t.value: t for t in Tier}

@@ -197,6 +197,29 @@ def test_drain_rate_caps_at_residual_bandwidth():
     assert sim.flows["f1"].drain_rate_mbps == Fraction(1, 4)
 
 
+def test_link_up_reads_residuals_at_most_once():
+    topo = chain_topology(cache_mib=1024)
+    reads = []
+
+    def residuals():
+        reads.append(1)
+        return {"wan": Fraction(10), "lan": Fraction(100)}
+
+    sim = FlowSimulator(topo, residuals_fn=residuals)
+    for i in range(4):
+        sim.activate_flow(planned(f"f{i}", Fraction(1, 2), ("wan",), source_node="cloudlet",
+                                  source_kind="placement"))
+    topo.events.subscribe(sim.on_link_state_changed)
+    topo.set_link_state("wan", False)
+    sim.advance(Fraction(20))
+    assert reads == []  # nothing to drain yet
+    topo.set_link_state("wan", True)
+    assert all(f.drain_rate_mbps == 1 for f in sim.flows.values())
+    assert len(reads) == 1
+    topo.set_link_state("lan", False)  # no flow on it: no read
+    assert len(reads) == 1
+
+
 def test_flow_activated_over_down_link_starts_caching_or_stalled():
     topo = chain_topology(cache_mib=100)
     sim = FlowSimulator(topo)

@@ -103,14 +103,32 @@ def test_hold_checks_aggregate_bandwidth_across_paths(inv):
         ])
 
 
-def test_hold_rejects_down_link(inv):
-    # Inventory consumes link events emitted by the topology.
-    from foglet.events import LinkStateChanged
-
-    inv.on_link_state_changed(LinkStateChanged(link_id="wan", up=False))
+def test_hold_rejects_down_link():
+    # Link up/down is owned by the topology; holds read it there.
+    topo = load_topology(reference_topology_doc())
+    inv = Inventory(topo)
+    topo.set_link_state("wan", False)
     with pytest.raises(InsufficientResources, match="down"):
         inv.hold("r1", "cloudlet-a", ResourceVector(),
                  [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+
+
+def test_snapshot_records_down_links_when_taken():
+    topo = load_topology(reference_topology_doc())
+    inv = Inventory(topo)
+    before = inv.snapshot()
+    topo.set_link_state("wan", False)
+    after = inv.snapshot()
+    assert "wan" in before.residuals() and "wan" not in after.residuals()
+    assert after.down_links == {"wan"}
+    assert inv.state_document()["links"]["wan"]["up"] is False
+
+
+def test_residual_map_is_built_once_per_snapshot_and_read_only(inv):
+    view = inv.snapshot()
+    assert view.residuals() is view.residuals()
+    with pytest.raises(TypeError):
+        view.residuals()["wan"] = Fraction(0)
 
 
 def test_commit_conserves_quantities(inv):
