@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import negotiator, scheduler
 from .config import EngineConfig
 from .flowsim import FlowSimulator, MetricsReport
-from .inventory import InvalidState, Inventory, write_store, read_store, StoreError
+from .inventory import Inventory, write_store, read_store, StoreError
 from .model import (
     DeploymentRequest,
     ReferenceError_,
@@ -57,8 +57,9 @@ class DecisionRecord:
             "outcome": self.outcome,
             "node_id": self.node_id,
             "reasons": [list(r) for r in self.reasons],
-            "verdicts": [dict(v) for v in self.verdicts],
-            "scores": [dict(s) for s in self.scores],
+            # Records never change after they are made, so their dicts are shared.
+            "verdicts": list(self.verdicts),
+            "scores": list(self.scores),
             "decided_at": float(self.decided_at),
         }
 
@@ -115,10 +116,7 @@ class Engine:
                 request, self.topo.endpoints.keys(), self.topo.regions
             )
             if not request.id:
-                request = validate_request(
-                    doc, request_id=self._allocate_request_id(),
-                    submitted_at=self.clock_s,
-                )
+                request = replace(request, id=self._allocate_request_id())
             if request.id in self._statuses:
                 raise ValidationError("id", f"duplicate request id {request.id!r}")
             self._queue.append(request)
@@ -149,16 +147,7 @@ class Engine:
         outcome = self._negotiate(request)
         if isinstance(outcome, Accepted):
             self._statuses[request.id] = "accepted"
-            try:
-                record = self._deploy(request, outcome)
-            except InvalidState:
-                # Reservation expired between hold and commit (scripted clock
-                # advances can do this); renegotiate once.
-                outcome = self._negotiate(request)
-                if isinstance(outcome, Accepted):
-                    record = self._deploy(request, outcome)
-                else:
-                    record = self._reject(request, outcome)
+            record = self._deploy(request, outcome)
         else:
             record = self._reject(request, outcome)
         self.decisions[request.id] = record

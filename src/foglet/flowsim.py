@@ -56,19 +56,6 @@ class Flow:
     buffered_peak_mbit: Fraction = Fraction(0)
 
 
-@dataclass
-class NodeCache:
-    node_id: str
-    capacity_mbit: Fraction
-    # occupancy is derived: sum of buffers of flows caching here
-
-    def occupied_mbit(self, flows: Mapping[str, Flow]) -> Fraction:
-        return sum(
-            (f.buffered_mbit for f in flows.values() if f.cache_node == self.node_id),
-            Fraction(0),
-        )
-
-
 @dataclass(frozen=True)
 class LinkReport:
     link_id: str
@@ -149,7 +136,12 @@ class MetricsReport:
 
 
 class FlowSimulator:
-    """Owns all flows and node caches; driven by advance() and link events."""
+    """Owns all flows and node caches; driven by advance() and link events.
+
+    Cache occupancy is a running total: `_occupied[n]` equals the sum of
+    `buffered_mbit` over the flows whose `cache_node` is `n`, exactly, and is
+    adjusted wherever a parked buffer grows, drains, moves or is removed.
+    """
 
     def __init__(self, topo: Topology, drain_multiplier: Fraction = Fraction(2),
                  residuals_fn: Optional[Callable[[], Mapping[str, Fraction]]] = None):
@@ -160,11 +152,12 @@ class FlowSimulator:
             lambda: {lid: l.bandwidth_mbps for lid, l in topo.links.items()}
         )
         self.flows: Dict[str, Flow] = {}
-        self.caches: Dict[str, NodeCache] = {
-            n.id: NodeCache(node_id=n.id, capacity_mbit=n.cache_mib * MBIT_PER_MIB)
-            for n in topo.nodes.values()
-            if n.cache_mib > 0
+        # node -> cache capacity in megabits
+        self.caches: Dict[str, Fraction] = {
+            n.id: n.cache_mib * MBIT_PER_MIB for n in topo.nodes.values() if n.cache_mib > 0
         }
+        # node -> megabits parked there
+        self._occupied: Dict[str, Fraction] = {}
         self._clock_s = Fraction(0)
 
     @property
@@ -173,11 +166,12 @@ class FlowSimulator:
 
     def set_cache(self, node_id: str, capacity_mib: int) -> None:
         if capacity_mib > 0:
-            self.caches[node_id] = NodeCache(
-                node_id=node_id, capacity_mbit=capacity_mib * MBIT_PER_MIB
-            )
+            self.caches[node_id] = capacity_mib * MBIT_PER_MIB
         else:
             self.caches.pop(node_id, None)
+
+    def _park(self, node_id: str, mbit: Fraction) -> None:
+        self._occupied[node_id] = self._occupied.get(node_id, Fraction(0)) + mbit
 
     # -- activation / teardown -------------------------------------------------
 
@@ -203,6 +197,8 @@ class FlowSimulator:
             for end in (flow.source, flow.sink):
                 if end.kind == "placement" and end.id in targets:
                     removed.append(self.flows.pop(fid))
+                    if flow.buffered_mbit:
+                        self._park(flow.cache_node, -flow.buffered_mbit)
                     break
         return removed
 
@@ -241,10 +237,13 @@ class FlowSimulator:
             flow.state = FlowState.CACHING
             return False
         for node_id in reversed(reachable):
-            cache = self.caches.get(node_id)
-            if cache is None:
+            capacity = self.caches.get(node_id)
+            if capacity is None:
                 continue
-            if cache.occupied_mbit(self.flows) < cache.capacity_mbit:
+            if self._occupied.get(node_id, Fraction(0)) < capacity:
+                if flow.buffered_mbit:  # the parked buffer moves with the flow
+                    self._park(flow.cache_node, -flow.buffered_mbit)
+                    self._park(node_id, flow.buffered_mbit)
                 flow.state = FlowState.CACHING
                 flow.cache_node = node_id
                 return False
@@ -290,11 +289,14 @@ class FlowSimulator:
                     cache_inflow.get(flow.cache_node, Fraction(0)) + flow.rate_mbps
                 )
         cache_accept: Dict[str, Fraction] = {}
+        occupied = self._occupied
         for node_id, inflow_rate in cache_inflow.items():
-            cache = self.caches[node_id]
-            free = cache.capacity_mbit - cache.occupied_mbit(self.flows)
+            free = self.caches[node_id] - occupied.get(node_id, Fraction(0))
             wanted = inflow_rate * dt_s
-            cache_accept[node_id] = min(Fraction(1), free / wanted) if wanted > 0 else Fraction(1)
+            share = min(Fraction(1), free / wanted)  # inflow_rate and dt_s are > 0
+            cache_accept[node_id] = share
+            # What the loop below adds to this cache's buffers, summed exactly.
+            occupied[node_id] = occupied.get(node_id, Fraction(0)) + wanted * share
 
         # Each flow's counters depend only on that flow and cache_accept, so
         # the order of this loop does not matter.
@@ -307,6 +309,7 @@ class FlowSimulator:
                     drained = min(flow.buffered_mbit, flow.drain_rate_mbps * dt_s)
                     flow.buffered_mbit -= drained
                     flow.delivered_mbit += drained
+                    occupied[flow.cache_node] -= drained
                     if flow.buffered_mbit == 0:
                         flow.drain_rate_mbps = Fraction(0)
                         flow.cache_node = None
@@ -369,8 +372,8 @@ class FlowSimulator:
             for f in sorted(self.flows.values(), key=lambda f: f.id)
         )
         caches = {
-            node_id: cache.occupied_mbit(self.flows) * BYTES_PER_MBIT
-            for node_id, cache in self.caches.items()
+            node_id: self._occupied.get(node_id, Fraction(0)) * BYTES_PER_MBIT
+            for node_id in self.caches
         }
         return MetricsReport(
             horizon_s=self._clock_s, links=links, flows=flows, caches=caches
@@ -386,7 +389,7 @@ class FlowSimulator:
         return {
             "clock_s": str(self._clock_s),
             "caches": {
-                nid: str(c.capacity_mbit) for nid, c in sorted(self.caches.items())
+                nid: str(capacity) for nid, capacity in sorted(self.caches.items())
             },
             "flows": {
                 fid: {
@@ -411,10 +414,7 @@ class FlowSimulator:
 
     def load_state_document(self, doc: Mapping) -> None:
         self._clock_s = Fraction(doc["clock_s"])
-        self.caches = {
-            nid: NodeCache(node_id=nid, capacity_mbit=Fraction(cap))
-            for nid, cap in doc["caches"].items()
-        }
+        self.caches = {nid: Fraction(cap) for nid, cap in doc["caches"].items()}
         self.flows = {}
         for fid, fd in doc["flows"].items():
             self.flows[fid] = Flow(
@@ -434,3 +434,7 @@ class FlowSimulator:
                 lost_mbit=Fraction(fd["lost_mbit"]),
                 buffered_peak_mbit=Fraction(fd["buffered_peak_mbit"]),
             )
+        self._occupied = {}
+        for flow in self.flows.values():
+            if flow.buffered_mbit:
+                self._park(flow.cache_node, flow.buffered_mbit)

@@ -309,32 +309,6 @@ class Inventory:
                 self._reservations[rid] = replace(rsv, network=tuple(remaining))
                 return
 
-    def add_placement_bandwidth(self, request_id: str, path: Tuple[str, ...],
-                                amount: Fraction) -> None:
-        """Book bandwidth against an existing committed placement (deferred
-        flow activation). Raises InsufficientResources without side effects."""
-        if not path or amount == 0:
-            return
-        with self._lock:
-            booking = BandwidthBooking(path=path, mbps=amount)
-            per_link: Dict[str, Fraction] = {}
-            for lid in path:
-                per_link[lid] = per_link.get(lid, Fraction(0)) + amount
-            for lid, needed in per_link.items():
-                ls = self._links[lid]
-                if ls.reserved_mbps + needed > ls.capacity_mbps:
-                    shortfall = ls.reserved_mbps + needed - ls.capacity_mbps
-                    raise InsufficientResources(
-                        f"link {lid}", f"bandwidth shortfall {float(shortfall):g} Mbit/s"
-                    )
-            for lid, needed in per_link.items():
-                ls = self._links[lid]
-                self._links[lid] = replace(ls, reserved_mbps=ls.reserved_mbps + needed)
-            for rid, rsv in self._reservations.items():
-                if rsv.request_id == request_id and rsv.state is ReservationState.COMMITTED:
-                    self._reservations[rid] = replace(rsv, network=rsv.network + (booking,))
-                    return
-
     def evict_placements_on(self, node_id: str) -> List[str]:
         """Remove every placement on a node, freeing its allocations and any
         bandwidth booked under its committed reservations. Returns request ids."""

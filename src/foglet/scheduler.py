@@ -347,9 +347,6 @@ def schedule(
 ):
     """Deploy step: commit the held reservation, record the placement, and
     bring the component's traffic flows up along their reserved paths.
-
-    Raises inventory.InvalidState when the reservation expired underneath us;
-    the caller retries negotiation once before giving up.
     """
     placement = Placement(
         request_id=request.id,

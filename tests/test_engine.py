@@ -16,6 +16,33 @@ def test_submit_assigns_sequential_ids(reference_engine):
     assert reference_engine.request_status(first)["state"] == "queued"
 
 
+def test_submit_validates_once_and_refusals_consume_no_id(reference_engine, monkeypatch):
+    import foglet.engine as engine_mod
+
+    real_validate = engine_mod.validate_request
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "validate_request", counted)
+    with pytest.raises(ReferenceError_):
+        reference_engine.submit({
+            "component": {"name": "x"},
+            "requirements": [{"network": {"endpoint": "ghost-cam"}}],
+        })
+    with pytest.raises(ValidationError):
+        reference_engine.submit({"component": {}})
+    rid = reference_engine.submit(camera_app_doc(svs=True))
+    assert rid == "req-000001"
+    assert len(calls) == 3
+    assert reference_engine._queue == [
+        real_validate(camera_app_doc(svs=True), request_id=rid,
+                      submitted_at=reference_engine.clock_s)
+    ]
+
+
 def test_submit_rejects_unknown_endpoint(reference_engine):
     with pytest.raises(ReferenceError_):
         reference_engine.submit({

@@ -279,3 +279,178 @@ def test_identical_schedules_produce_identical_reports():
         return json.dumps(sim.report({}).to_dict(), sort_keys=True)
 
     assert run() == run()
+
+
+# -- cache occupancy: running total against the re-summing oracle ----------------------
+
+
+def occupied_mbit(flows, node_id):
+    """Oracle: a cache's occupancy re-summed from the buffers parked there."""
+    return sum(
+        (f.buffered_mbit for f in flows.values() if f.cache_node == node_id), Fraction(0)
+    )
+
+
+class OracleFlowSimulator(FlowSimulator):
+    """Reads cache occupancy by re-summing every flow's buffer at each read, as
+    the simulator did before it kept a running total; writes to it are dropped."""
+
+    @property
+    def _occupied(self):
+        nodes = set(self.caches) | {f.cache_node for f in self.flows.values() if f.cache_node}
+        return {n: occupied_mbit(self.flows, n) for n in nodes}
+
+    @_occupied.setter
+    def _occupied(self, value):
+        pass
+
+
+def two_cache_topology(cloudlet_mib, gateway_mib):
+    """cloud -wan- cloudlet -metro- gateway -lan- pole: a camera on the pole
+    streams to the cloud across both caches."""
+    return load_topology({
+        "nodes": [
+            {"id": "cloud", "tier": "cloud", "vcpus": 8, "ram_mib": 1024, "disk_gib": 10},
+            {"id": "cloudlet", "tier": "edge_cloudlet", "vcpus": 4, "ram_mib": 512,
+             "disk_gib": 5, "cache_mib": cloudlet_mib},
+            {"id": "gateway", "tier": "edge_gateway", "vcpus": 1, "ram_mib": 128,
+             "disk_gib": 1, "cache_mib": gateway_mib},
+            {"id": "pole", "tier": "edge_gateway", "vcpus": 1, "ram_mib": 128, "disk_gib": 1},
+        ],
+        "links": [
+            {"id": "wan", "a": "cloud", "b": "cloudlet", "bandwidth_mbps": 10, "latency_ms": 40},
+            {"id": "metro", "a": "cloudlet", "b": "gateway", "bandwidth_mbps": 50,
+             "latency_ms": 5},
+            {"id": "lan", "a": "gateway", "b": "pole", "bandwidth_mbps": 100, "latency_ms": 2},
+        ],
+        "endpoints": [{"id": "cam", "node": "pole", "kind": "camera"}],
+    })
+
+
+# (source node, path, sink node)
+TWO_CACHE_ROUTES = (
+    ("pole", ("lan", "metro", "wan"), "cloud"),
+    ("gateway", ("metro", "wan"), "cloud"),
+    ("cloudlet", ("wan",), "cloud"),
+    ("pole", ("lan", "metro"), "cloudlet"),
+)
+
+
+def two_cache_plan(flow_id, route, rate_tenths, app):
+    source_node, path, sink_node = TWO_CACHE_ROUTES[route]
+    return PlannedFlow(
+        flow_id=flow_id,
+        source=FlowEnd(kind="endpoint", id="cam", node=source_node, component="cam"),
+        sink=FlowEnd(kind="placement", id=f"app{app}", node=sink_node, component="app"),
+        rate_mbps=Fraction(rate_tenths, 10),
+        path=path,
+        booked_mbps=Fraction(0),
+        booking_owner=f"app{app}",
+    )
+
+
+class Side:
+    """One simulator on its own topology; `roundtrip` swaps in a fresh one
+    loaded from the old one's state document."""
+
+    def __init__(self, cls, cloudlet_mib, gateway_mib):
+        self.cls = cls
+        self.topo = two_cache_topology(cloudlet_mib, gateway_mib)
+        self.sim = cls(self.topo)
+        self.topo.events.subscribe(lambda event: self.sim.on_link_state_changed(event))
+
+    def roundtrip(self):
+        doc = json.loads(json.dumps(self.sim.state_document()))
+        self.sim = self.cls(self.topo)
+        self.sim.load_state_document(doc)
+
+
+activate_step = st.tuples(
+    st.just("activate"), st.integers(0, len(TWO_CACHE_ROUTES) - 1),
+    st.integers(1, 80), st.integers(0, 3),
+)
+storm_steps = st.lists(
+    st.one_of(
+        activate_step,
+        st.tuples(st.just("deactivate"), st.integers(0, 3)),
+        # Faults on the two links between caches are the ones that move buffers.
+        st.tuples(st.just("toggle"), st.sampled_from(["wan", "metro", "wan", "metro", "lan"])),
+        st.tuples(st.just("advance"), st.integers(1, 300)),
+        st.tuples(st.just("advance"), st.integers(1, 300)),
+        st.tuples(st.just("roundtrip")),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@given(
+    st.sampled_from([1, 2, 100]),
+    st.sampled_from([1, 2, 100]),
+    st.lists(activate_step, min_size=1, max_size=4),
+    storm_steps,
+)
+def test_running_occupancy_matches_the_oracle(cloudlet_mib, gateway_mib, setup, storm):
+    real = Side(FlowSimulator, cloudlet_mib, gateway_mib)
+    oracle = Side(OracleFlowSimulator, cloudlet_mib, gateway_mib)
+    for n, step in enumerate(setup + storm):
+        for side in (real, oracle):
+            kind = step[0]
+            if kind == "activate":
+                side.sim.activate_flow(two_cache_plan(f"f{n}", *step[1:]))
+            elif kind == "deactivate":
+                side.sim.deactivate_flows_touching({f"app{step[1]}"})
+            elif kind == "toggle":
+                side.topo.set_link_state(step[1], not side.topo.links[step[1]].up)
+            elif kind == "advance":
+                side.sim.advance(Fraction(step[1], 10))
+            else:
+                side.roundtrip()
+        sim = real.sim
+        for node in set(sim._occupied) | set(sim.caches):
+            assert sim._occupied.get(node, 0) == occupied_mbit(sim.flows, node)
+        assert sim.report({}).caches == oracle.sim.report({}).caches
+        assert {
+            fid: (f.state, f.cache_node, f.buffered_mbit) for fid, f in sim.flows.items()
+        } == {
+            fid: (f.state, f.cache_node, f.buffered_mbit)
+            for fid, f in oracle.sim.flows.items()
+        }
+
+
+def test_buffer_moves_to_upstream_cache_when_its_cache_is_cut_off():
+    topo = two_cache_topology(cloudlet_mib=100, gateway_mib=100)
+    sim = FlowSimulator(topo)
+    topo.events.subscribe(sim.on_link_state_changed)
+    flow = sim.activate_flow(two_cache_plan("f1", 0, 40, 0))
+    topo.set_link_state("wan", False)
+    sim.advance(Fraction(10))
+    assert flow.cache_node == "cloudlet"
+    assert sim.report({}).caches == {"cloudlet": 40 * BYTES_PER_MBIT, "gateway": 0}
+    topo.set_link_state("metro", False)
+    assert flow.cache_node == "gateway"
+    assert sim.report({}).caches == {"cloudlet": 0, "gateway": 40 * BYTES_PER_MBIT}
+    sim.deactivate_flows_touching({"app0"})
+    assert sim.report({}).caches == {"cloudlet": 0, "gateway": 0}
+
+
+class CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.values_calls = 0
+
+    def values(self):
+        self.values_calls += 1
+        return super().values()
+
+
+def test_link_down_iterates_the_flow_table_once():
+    topo = two_cache_topology(cloudlet_mib=100, gateway_mib=100)
+    sim = FlowSimulator(topo)
+    topo.events.subscribe(sim.on_link_state_changed)
+    for i in range(5):
+        sim.activate_flow(two_cache_plan(f"f{i}", 0, 10, i))
+    sim.flows = CountingDict(sim.flows)
+    topo.set_link_state("wan", False)
+    assert sim.flows.values_calls == 1
+    assert all(f.cache_node == "cloudlet" for f in dict.values(sim.flows))

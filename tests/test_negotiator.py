@@ -2,6 +2,7 @@ import json
 
 from foglet.config import EngineConfig
 from foglet.engine import Engine
+from foglet.inventory import ReservationState
 from foglet.topology import load_topology
 from tests.conftest import camera_app_doc, reference_topology_doc, store_app_doc
 
@@ -177,27 +178,32 @@ def test_accepted_implies_commit_succeeds(reference_engine):
     assert all(s in ("placed", "rejected") for s in statuses.values())
 
 
-def test_expired_reservation_triggers_one_retry(reference_engine, monkeypatch):
-    # Force the reservation to expire between hold and commit by advancing the
-    # virtual clock inside the deploy step, first attempt only.
+def test_hold_and_commit_happen_in_one_decision(reference_engine, monkeypatch):
+    # Only advance expires reservations, and a decision holds and commits in one
+    # process_pending call under the engine lock, so no reservation is left held
+    # between calls and each accepted request is deployed exactly once.
     import foglet.engine as engine_mod
 
     real_deploy = engine_mod.Engine._deploy
-    calls = {"n": 0}
+    deployed = []
 
-    def sabotaged(self, request, outcome):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            self.clock_s += self.config.reservation_ttl_s + 1
-            self.inventory.expire_reservations(self.clock_s)
+    def counted(self, request, outcome):
+        deployed.append(request.id)
         return real_deploy(self, request, outcome)
 
-    monkeypatch.setattr(engine_mod.Engine, "_deploy", sabotaged)
-    reference_engine.submit(camera_app_doc())
-    (record,) = reference_engine.process_pending()
-    assert calls["n"] == 2  # first commit hit the expired reservation, retried once
-    assert record.outcome == "placed"
-    assert record.node_id == "cloud"
+    monkeypatch.setattr(engine_mod.Engine, "_deploy", counted)
+    reference_engine.submit(store_app_doc())
+    reference_engine.submit(camera_app_doc(svs=True))
+    reference_engine.submit({
+        "component": {"name": "monster"},
+        "requirements": [{"compute": {"vcpus": 1_000_000}}],
+    })
+    reference_engine.submit(camera_app_doc("fd2", "fs2", svs=True))
+    records = reference_engine.process_pending()
+    assert [r.outcome for r in records] == ["placed", "placed", "rejected", "placed"]
+    assert deployed == [r.request_id for r in records if r.outcome == "placed"]
+    reservations = reference_engine.inventory.snapshot().reservations.values()
+    assert all(r.state is not ReservationState.HELD for r in reservations)
 
 
 def test_fcfs_replay_is_deterministic():
