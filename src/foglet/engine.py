@@ -79,7 +79,6 @@ class Engine:
             drain_multiplier=self.config.drain_rate_multiplier,
             residuals_fn=self._link_residuals,
         )
-        topo.events.subscribe(self.flowsim.on_link_state_changed)
 
         self.clock_s = Fraction(0)
         self._queue: List[DeploymentRequest] = []
@@ -218,7 +217,8 @@ class Engine:
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         with self._lock:
-            self.topo.set_link_state(link_id, up)
+            if self.topo.set_link_state(link_id, up):
+                self.flowsim.on_link_state_changed(link_id)
 
     def evict_node(self, node_id: str) -> List[str]:
         """Test/scenario plumbing: drop every placement on a node."""
@@ -266,6 +266,11 @@ class Engine:
                 else:
                     out["reasons"] = [list(r) for r in record.reasons]
             return out
+
+    def explain(self, request_id: str) -> Optional[dict]:
+        with self._lock:
+            record = self.decisions.get(request_id)
+            return None if record is None else record.to_dict()
 
     def placements(self) -> List[dict]:
         with self._lock:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .events import LinkStateChanged
 from .scheduler import FlowEnd, PlannedFlow
 from .topology import Path, Topology
 
@@ -136,7 +135,7 @@ class MetricsReport:
 
 
 class FlowSimulator:
-    """Owns all flows and node caches; driven by advance() and link events.
+    """Owns all flows and node caches; driven by advance() and link changes.
 
     Cache occupancy is a running total: `_occupied[n]` equals the sum of
     `buffered_mbit` over the flows whose `cache_node` is `n`, exactly, and is
@@ -159,10 +158,6 @@ class FlowSimulator:
         # node -> megabits parked there
         self._occupied: Dict[str, Fraction] = {}
         self._clock_s = Fraction(0)
-
-    @property
-    def now_s(self) -> Fraction:
-        return self._clock_s
 
     def set_cache(self, node_id: str, capacity_mib: int) -> None:
         if capacity_mib > 0:
@@ -258,12 +253,13 @@ class FlowSimulator:
         residual = min(residuals.get(lid, Fraction(0)) for lid in flow.path)
         return max(Fraction(0), min(self._drain_multiplier * flow.rate_mbps, residual))
 
-    def on_link_state_changed(self, event: LinkStateChanged) -> None:
+    def on_link_state_changed(self, link_id: str) -> None:
+        """Reassign every flow routed over a link whose state just changed."""
         restored = [
             flow for flow in self.flows.values()
-            if event.link_id in flow.path and self._assign_state(flow)
+            if link_id in flow.path and self._assign_state(flow)
         ]
-        # Residuals are read once per event, and only when a restored flow
+        # Residuals are read once per change, and only when a restored flow
         # needs a drain rate; reassigning flows does not change them.
         if restored:
             residuals = self._residuals_fn()

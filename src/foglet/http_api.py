@@ -9,6 +9,8 @@ engine's lock.
 from __future__ import annotations
 
 import json
+import logging
+import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,7 +20,13 @@ from .engine import Engine, EngineError
 from .model import ReferenceError_, ValidationError
 from .topology import TopologyError
 
+log = logging.getLogger("foglet.http")
+
 _ROUTES = []
+
+
+class BadRequest(Exception):
+    """A request body of the wrong shape."""
 
 
 def route(method: str, pattern: str):
@@ -52,12 +60,14 @@ class ApiHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self):
+    def _read_json(self) -> dict:
+        """The body as a JSON object; an empty body reads as {}."""
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return None
-        return json.loads(raw)
+        doc = json.loads(raw) if raw else {}
+        if not isinstance(doc, dict):
+            raise BadRequest("body must be a JSON object")
+        return doc
 
     def _dispatch(self, method: str) -> None:
         for m, pattern, fn in _ROUTES:
@@ -69,6 +79,8 @@ class ApiHandler(BaseHTTPRequestHandler):
                     status, payload = fn(self, **match.groupdict())
                 except json.JSONDecodeError as exc:
                     status, payload = 400, {"error": "bad_json", "detail": str(exc)}
+                except BadRequest as exc:
+                    status, payload = 400, {"error": "bad_request", "detail": str(exc)}
                 except ValidationError as exc:
                     status, payload = 400, {
                         "error": "validation", "field": exc.field, "reason": exc.reason,
@@ -79,6 +91,9 @@ class ApiHandler(BaseHTTPRequestHandler):
                     }
                 except (EngineError, TopologyError) as exc:
                     status, payload = 400, {"error": "engine", "detail": str(exc)}
+                except Exception as exc:
+                    log.exception("%s %s failed", method, self.path)
+                    status, payload = 500, {"error": "internal", "detail": str(exc)}
                 self._send(status, payload)
                 return
         self._send(404, {"error": "not_found", "path": self.path})
@@ -93,10 +108,7 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     @route("POST", r"/v1/requests")
     def post_request(self) -> Tuple[int, dict]:
-        doc = self._read_json()
-        if not isinstance(doc, dict):
-            return 400, {"error": "bad_request", "detail": "body must be a JSON object"}
-        request_id = self.engine.submit(doc)
+        request_id = self.engine.submit(self._read_json())
         self.server.kick()  # type: ignore[attr-defined]
         return 202, {"id": request_id, "state": "queued"}
 
@@ -108,10 +120,10 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     @route("GET", r"/v1/requests/(?P<request_id>[^/]+)/explain")
     def explain_request(self, request_id: str) -> Tuple[int, dict]:
-        record = self.engine.decisions.get(request_id)
+        record = self.engine.explain(request_id)
         if record is None:
             return 404, {"error": "not_found", "id": request_id}
-        return 200, record.to_dict()
+        return 200, record
 
     @route("GET", r"/v1/requests/(?P<request_id>[^/]+)")
     def get_request(self, request_id: str) -> Tuple[int, dict]:
@@ -139,7 +151,7 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     @route("POST", r"/v1/events")
     def post_event(self) -> Tuple[int, dict]:
-        doc = self._read_json() or {}
+        doc = self._read_json()
         link_id = doc.get("link")
         state = doc.get("state")
         if state not in ("up", "down"):
@@ -152,9 +164,9 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     @route("POST", r"/v1/advance")
     def post_advance(self) -> Tuple[int, dict]:
-        doc = self._read_json() or {}
-        seconds = doc.get("seconds")
-        if not isinstance(seconds, (int, float)) or seconds <= 0:
+        seconds = self._read_json().get("seconds")
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
+                or not 0 < seconds < math.inf:  # NaN fails both comparisons
             return 400, {"error": "bad_request", "detail": "seconds must be positive"}
         self.engine.advance(seconds)
         return 200, {"clock_s": float(self.engine.clock_s)}
@@ -186,7 +198,12 @@ class ApiServer(ThreadingHTTPServer):
             self._wake.clear()
             if self._stop.is_set():
                 return
-            self.engine.process_pending()
+            try:
+                self.engine.process_pending()
+            except Exception:
+                # One failed pass must not stop the worker: later submissions
+                # would stay queued forever.
+                log.exception("queue worker: process_pending failed")
 
     @property
     def port(self) -> int:

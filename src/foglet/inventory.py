@@ -20,7 +20,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from .events import Dispatcher, PlacementCreated
 from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES, mbps
 from .topology import Topology
 
@@ -133,7 +132,6 @@ class Inventory:
     def __init__(self, topo: Topology):
         self._lock = threading.RLock()
         self._topo = topo
-        self.events = Dispatcher()
         self._nodes: Dict[str, NodeState] = {
             n.id: NodeState(node_id=n.id, capacity=n.capacity)
             for n in topo.nodes.values()
@@ -250,9 +248,6 @@ class Inventory:
                 rsv, state=ReservationState.COMMITTED
             )
             self._placements[placement.request_id] = placement
-            self.events.publish(
-                PlacementCreated(request_id=placement.request_id, node_id=rsv.node_id)
-            )
             return placement
 
     def release(self, reservation_id: str) -> None:
@@ -373,10 +368,6 @@ class Inventory:
                         "component": p.component,
                         "node_id": p.node_id,
                         "allocated": p.allocated.to_dict(),
-                        "network_reservations": [
-                            {"path": list(path), "mbps": str(amount)}
-                            for path, amount in p.network_reservations
-                        ],
                         "state": p.state.value,
                     }
                     for req_id, p in sorted(self._placements.items())
@@ -426,28 +417,11 @@ class Inventory:
                     component=pd["component"],
                     node_id=pd["node_id"],
                     allocated=ResourceVector.from_dict(pd["allocated"]),
-                    network_reservations=tuple(
-                        (tuple(nr["path"]), Fraction(nr["mbps"]))
-                        for nr in pd["network_reservations"]
-                    ),
                     state=PlacementState(pd["state"]),
                 )
                 for req_id, pd in doc["placements"].items()
             }
             self._next_reservation = int(doc["next_reservation"])
-
-    def persist(self, path: str) -> None:
-        write_store(path, [("inventory", self.state_document())])
-
-    @classmethod
-    def restore(cls, path: str, topo: Topology) -> "Inventory":
-        records = read_store(path)
-        docs = [payload for kind, payload in records if kind == "inventory"]
-        if not docs:
-            raise StoreError("state file carries no inventory snapshot")
-        inv = cls(topo)
-        inv.load_state_document(docs[-1])
-        return inv
 
 
 # -- durable store file format -------------------------------------------------

@@ -288,7 +288,6 @@ class Placement:
     component: str
     node_id: str
     allocated: ResourceVector
-    network_reservations: tuple = ()  # tuple[(link_ids tuple, Fraction mbps), ...]
     state: PlacementState = PlacementState.RUNNING
 
     def evicted(self) -> "Placement":

@@ -260,14 +260,14 @@ def priority(
     view: InventoryView,
     topo: Topology,
     config: EngineConfig,
-    path_metrics: Optional[Sequence[Optional[PathMetrics]]] = None,
+    path_metrics: Sequence[Optional[PathMetrics]],
 ) -> ScoredNode:
     """Score a filter-passing node in [0, 1].
 
     capacity_fit: profile-weighted mean of post-placement free-capacity
     fractions; network_slack: mean headroom over the request's bandwidth
     floors; tier_preference: configured per-tier constant. `path_metrics` is
-    the node's FilterVerdict.path_metrics; without it the node is routed here.
+    the node's FilterVerdict.path_metrics.
     """
     node = topo.nodes[node_id]
     state = view.nodes[node_id]
@@ -294,8 +294,6 @@ def priority(
         )
         capacity_fit = sum(w * f for w, f in zip(weights, fractions))
 
-    if path_metrics is None:
-        path_metrics = _requirement_metrics([node_id], request, view, topo)[node_id]
     slack_terms = []
     for req, metrics in zip(request.network_requirements, path_metrics):
         thresholds = config.threshold_for(req.profile)
@@ -354,9 +352,6 @@ def schedule(
         component=request.component.name,
         node_id=node_id,
         allocated=effective_footprint(request, config),
-        network_reservations=tuple(
-            (p.path, p.booked_mbps) for p in planned_flows if p.path and p.booked_mbps > 0
-        ),
     )
     inventory.commit(reservation_id, placement)
     for plan in planned_flows:

@@ -2,8 +2,7 @@
 
 Nodes and links are fixed for the lifetime of a topology; the only mutable
 bit is per-link up/down state, which the topology alone owns (the inventory
-and the flow simulator read it here), changes to which are published as
-LinkStateChanged events.
+and the flow simulator read it here).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .events import Dispatcher, LinkStateChanged
 from .model import ResourceVector, Tier, mbps
 
 
@@ -84,7 +82,6 @@ class Topology:
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
         self.endpoints: Dict[str, Endpoint] = {}
-        self.events = Dispatcher()
         # node -> (incident link, node at its other end)
         self._adjacency: Dict[str, List[Tuple[Link, str]]] = {}
 
@@ -150,17 +147,15 @@ class Topology:
     def endpoint_node(self, endpoint_id: str) -> str:
         return self.endpoints[endpoint_id].node
 
-    def set_link_state(self, link_id: str, up: bool) -> Optional[LinkStateChanged]:
-        """Change a link's state; idempotent, emitting one event per actual change."""
+    def set_link_state(self, link_id: str, up: bool) -> bool:
+        """Set a link's state; idempotent, True only when the state changed."""
         link = self.links.get(link_id)
         if link is None:
             raise TopologyError(f"unknown link {link_id!r}")
         if link.up == up:
-            return None
+            return False
         link.up = up
-        event = LinkStateChanged(link_id=link_id, up=up)
-        self.events.publish(event)
-        return event
+        return True
 
     def path_nodes(self, start: str, path: Path) -> List[str]:
         """Node sequence visited by `path`, beginning at `start`."""

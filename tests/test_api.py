@@ -23,9 +23,10 @@ def server():
     srv.shutdown()
 
 
-def call(server, method, path, body=None, expect_error=None):
+def call(server, method, path, body=None, expect_error=None, raw=None):
+    """`raw` sends those bytes as the body instead of `body` encoded as JSON."""
     url = f"http://127.0.0.1:{server.port}{path}"
-    data = json.dumps(body).encode() if body is not None else None
+    data = raw if raw is not None else json.dumps(body).encode() if body is not None else None
     request = urllib.request.Request(url, data=data, method=method)
     if data:
         request.add_header("Content-Type", "application/json")
@@ -172,3 +173,39 @@ def test_reads_between_writes_are_stable(server):
     nodes_a = call(server, "GET", "/v1/nodes")
     nodes_b = call(server, "GET", "/v1/nodes")
     assert nodes_a == nodes_b
+
+
+@pytest.mark.parametrize("path,raw", [
+    ("/v1/advance", b'{"seconds": true}'),
+    ("/v1/advance", b'{"seconds": 1e400}'),
+    ("/v1/advance", b'[1]'),
+    ("/v1/events", b'[1]'),
+])
+def test_malformed_bodies_get_400_and_the_server_keeps_answering(server, path, raw):
+    status, payload = call(server, "POST", path, raw=raw, expect_error=400)
+    assert status == 400
+    assert payload["error"] == "bad_request"
+    status, report = call(server, "GET", "/v1/report")
+    assert status == 200 and report["horizon_s"] == 0
+
+
+def test_queue_worker_survives_a_failed_pass(server, monkeypatch):
+    engine = server.engine
+    real = engine.process_pending
+    failures = []
+
+    def fail_once():
+        if not failures:
+            failures.append(1)
+            raise RuntimeError("planted failure")
+        return real()
+
+    monkeypatch.setattr(engine, "process_pending", fail_once)
+    _, first = call(server, "POST", "/v1/requests", store_app_doc("first"))
+    deadline = time.monotonic() + 10
+    while not failures and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert failures
+    _, later = call(server, "POST", "/v1/requests", store_app_doc("later"))
+    assert poll_terminal(server, later["id"])["state"] == "placed"
+    assert poll_terminal(server, first["id"])["state"] == "placed"

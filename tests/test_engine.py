@@ -146,6 +146,34 @@ def test_save_load_round_trip_mid_fault(tmp_path, reference_engine):
     assert engine.request_ids() == clone.request_ids()
 
 
+def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, reference_engine):
+    # State files once repeated each placement's bandwidth bookings, which now
+    # live on its reservation only; such a file still loads and re-saves to
+    # the current bytes.
+    from foglet.inventory import read_store, write_store
+
+    engine = reference_engine
+    engine.submit(camera_app_doc(svs=True))
+    engine.submit(store_app_doc())
+    engine.process_pending()
+    path = str(tmp_path / "now.bin")
+    engine.save(path)
+    records = read_store(path)
+    inventory = dict(records)["inventory"]
+    bookings = {}
+    for rsv in inventory["reservations"].values():
+        bookings.setdefault(rsv["request_id"], []).extend(rsv["network"])
+    assert any(bookings.values())
+    for req_id, placement in inventory["placements"].items():
+        assert "network_reservations" not in placement
+        placement["network_reservations"] = bookings.get(req_id, [])
+    older = str(tmp_path / "older.bin")
+    write_store(older, records)
+    resaved = str(tmp_path / "resaved.bin")
+    Engine.load(older).save(resaved)
+    assert open(resaved, "rb").read() == open(path, "rb").read()
+
+
 def test_load_rejects_missing_sections(tmp_path):
     from foglet.inventory import write_store
 

@@ -24,6 +24,12 @@ def chain_topology(cache_mib=0):
     })
 
 
+def set_link(topo, sim, link_id, up):
+    """Change a link's state and tell the simulator, as Engine.set_link_state does."""
+    if topo.set_link_state(link_id, up):
+        sim.on_link_state_changed(link_id)
+
+
 def planned(flow_id, rate, path, source_node="gateway", sink_node="cloud",
             source_kind="endpoint", sink_kind="placement"):
     return PlannedFlow(
@@ -74,8 +80,7 @@ def test_fault_without_cache_stalls_and_loses():
     topo = chain_topology(cache_mib=0)
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     assert sim.flows["f1"].state is FlowState.STALLED
     sim.advance(Fraction(60))
     report = sim.report({}).flow("f1")
@@ -89,8 +94,7 @@ def test_fault_with_upstream_cache_buffers_without_loss():
     topo = chain_topology(cache_mib=100)
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     assert sim.flows["f1"].state is FlowState.CACHING
     assert sim.flows["f1"].cache_node == "cloudlet"
     sim.advance(Fraction(10))
@@ -108,8 +112,7 @@ def test_fault_break_before_cache_stalls():
     topo = chain_topology(cache_mib=100)
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("lan", False)
+    set_link(topo, sim, "lan", False)
     assert sim.flows["f1"].state is FlowState.STALLED
 
 
@@ -117,8 +120,7 @@ def test_cache_overflow_counts_as_loss():
     topo = chain_topology(cache_mib=1)  # 1 MiB = 8.388608 Mbit
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(10))  # wants 40 Mbit, cache takes 8.388608
     flow = sim.flows["f1"]
     assert flow.buffered_mbit == 1 * MBIT_PER_MIB
@@ -133,8 +135,7 @@ def test_two_flows_share_cache_proportionally():
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 3, ("lan", "wan")))
     sim.activate_flow(planned("f2", 1, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(10))  # inflow 40 Mbit vs 8.388608 free
     f1, f2 = sim.flows["f1"], sim.flows["f2"]
     total = f1.buffered_mbit + f2.buffered_mbit
@@ -149,10 +150,9 @@ def test_zero_duration_fault_moves_no_bytes():
     topo = chain_topology(cache_mib=100)
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    topo.events.subscribe(sim.on_link_state_changed)
     before = json.dumps(sim.report({}).to_dict(), sort_keys=True)
-    topo.set_link_state("wan", False)
-    topo.set_link_state("wan", True)
+    set_link(topo, sim, "wan", False)
+    set_link(topo, sim, "wan", True)
     after = json.dumps(sim.report({}).to_dict(), sort_keys=True)
     assert before == after
 
@@ -162,14 +162,13 @@ def test_restore_drains_buffer_completely():
     sim = FlowSimulator(topo)
     sim.activate_flow(planned("f1", Fraction(1, 2), ("wan",), source_node="cloudlet",
                               source_kind="placement"))
-    topo.events.subscribe(sim.on_link_state_changed)
     sim.advance(Fraction(10))
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(60))
     flow = sim.flows["f1"]
     assert flow.buffered_mbit == 30
     assert flow.buffered_peak_mbit == 30
-    topo.set_link_state("wan", True)
+    set_link(topo, sim, "wan", True)
     # Drain rate = min(2 * 0.5, residual 10) = 1 Mbit/s; 30 Mbit drains in 30 s.
     assert flow.drain_rate_mbps == 1
     sim.advance(Fraction(29))
@@ -190,10 +189,9 @@ def test_drain_rate_caps_at_residual_bandwidth():
     sim = FlowSimulator(topo, residuals_fn=lambda: {"wan": Fraction(1, 4), "lan": Fraction(100)})
     sim.activate_flow(planned("f1", Fraction(1, 2), ("wan",), source_node="cloudlet",
                               source_kind="placement"))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(20))
-    topo.set_link_state("wan", True)
+    set_link(topo, sim, "wan", True)
     assert sim.flows["f1"].drain_rate_mbps == Fraction(1, 4)
 
 
@@ -209,25 +207,23 @@ def test_link_up_reads_residuals_at_most_once():
     for i in range(4):
         sim.activate_flow(planned(f"f{i}", Fraction(1, 2), ("wan",), source_node="cloudlet",
                                   source_kind="placement"))
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(20))
     assert reads == []  # nothing to drain yet
-    topo.set_link_state("wan", True)
+    set_link(topo, sim, "wan", True)
     assert all(f.drain_rate_mbps == 1 for f in sim.flows.values())
     assert len(reads) == 1
-    topo.set_link_state("lan", False)  # no flow on it: no read
+    set_link(topo, sim, "lan", False)  # no flow on it: no read
     assert len(reads) == 1
 
 
 def test_flow_activated_over_down_link_starts_caching_or_stalled():
     topo = chain_topology(cache_mib=100)
     sim = FlowSimulator(topo)
-    topo.events.subscribe(sim.on_link_state_changed)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     flow = sim.activate_flow(planned("f1", 4, ("lan", "wan")))
     assert flow.state is FlowState.CACHING
-    topo.set_link_state("lan", False)
+    set_link(topo, sim, "lan", False)
     flow2 = sim.activate_flow(planned("f2", 4, ("lan", "wan")))
     assert flow2.state is FlowState.STALLED
 
@@ -248,7 +244,6 @@ def test_byte_conservation_random_fault_schedule(seed):
     rng = random.Random(seed)
     topo = chain_topology(cache_mib=rng.choice([0, 1, 100]))
     sim = FlowSimulator(topo)
-    topo.events.subscribe(sim.on_link_state_changed)
     for i in range(rng.randint(1, 3)):
         sim.activate_flow(planned(
             f"f{i}", Fraction(rng.randint(1, 80), 10), ("lan", "wan"),
@@ -256,7 +251,7 @@ def test_byte_conservation_random_fault_schedule(seed):
     for _ in range(rng.randint(5, 25)):
         action = rng.random()
         if action < 0.3:
-            topo.set_link_state(rng.choice(["lan", "wan"]), rng.random() < 0.5)
+            set_link(topo, sim, rng.choice(["lan", "wan"]), rng.random() < 0.5)
         else:
             sim.advance(Fraction(rng.randint(1, 300), 10))
         for flow in sim.flows.values():
@@ -269,12 +264,11 @@ def test_identical_schedules_produce_identical_reports():
     def run():
         topo = chain_topology(cache_mib=10)
         sim = FlowSimulator(topo)
-        topo.events.subscribe(sim.on_link_state_changed)
         sim.activate_flow(planned("f1", Fraction(41, 10), ("lan", "wan")))
         sim.advance(Fraction(7, 2))
-        topo.set_link_state("wan", False)
+        set_link(topo, sim, "wan", False)
         sim.advance(Fraction(13))
-        topo.set_link_state("wan", True)
+        set_link(topo, sim, "wan", True)
         sim.advance(Fraction(100))
         return json.dumps(sim.report({}).to_dict(), sort_keys=True)
 
@@ -357,7 +351,6 @@ class Side:
         self.cls = cls
         self.topo = two_cache_topology(cloudlet_mib, gateway_mib)
         self.sim = cls(self.topo)
-        self.topo.events.subscribe(lambda event: self.sim.on_link_state_changed(event))
 
     def roundtrip(self):
         doc = json.loads(json.dumps(self.sim.state_document()))
@@ -401,7 +394,7 @@ def test_running_occupancy_matches_the_oracle(cloudlet_mib, gateway_mib, setup, 
             elif kind == "deactivate":
                 side.sim.deactivate_flows_touching({f"app{step[1]}"})
             elif kind == "toggle":
-                side.topo.set_link_state(step[1], not side.topo.links[step[1]].up)
+                set_link(side.topo, side.sim, step[1], not side.topo.links[step[1]].up)
             elif kind == "advance":
                 side.sim.advance(Fraction(step[1], 10))
             else:
@@ -421,13 +414,12 @@ def test_running_occupancy_matches_the_oracle(cloudlet_mib, gateway_mib, setup, 
 def test_buffer_moves_to_upstream_cache_when_its_cache_is_cut_off():
     topo = two_cache_topology(cloudlet_mib=100, gateway_mib=100)
     sim = FlowSimulator(topo)
-    topo.events.subscribe(sim.on_link_state_changed)
     flow = sim.activate_flow(two_cache_plan("f1", 0, 40, 0))
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     sim.advance(Fraction(10))
     assert flow.cache_node == "cloudlet"
     assert sim.report({}).caches == {"cloudlet": 40 * BYTES_PER_MBIT, "gateway": 0}
-    topo.set_link_state("metro", False)
+    set_link(topo, sim, "metro", False)
     assert flow.cache_node == "gateway"
     assert sim.report({}).caches == {"cloudlet": 0, "gateway": 40 * BYTES_PER_MBIT}
     sim.deactivate_flows_touching({"app0"})
@@ -447,10 +439,9 @@ class CountingDict(dict):
 def test_link_down_iterates_the_flow_table_once():
     topo = two_cache_topology(cloudlet_mib=100, gateway_mib=100)
     sim = FlowSimulator(topo)
-    topo.events.subscribe(sim.on_link_state_changed)
     for i in range(5):
         sim.activate_flow(two_cache_plan(f"f{i}", 0, 10, i))
     sim.flows = CountingDict(sim.flows)
-    topo.set_link_state("wan", False)
+    set_link(topo, sim, "wan", False)
     assert sim.flows.values_calls == 1
     assert all(f.cache_node == "cloudlet" for f in dict.values(sim.flows))

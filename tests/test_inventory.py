@@ -30,7 +30,6 @@ def placement_for(reservation, component="comp"):
         component=component,
         node_id=reservation.node_id,
         allocated=reservation.resources,
-        network_reservations=tuple((b.path, b.mbps) for b in reservation.network),
     )
 
 
@@ -206,23 +205,25 @@ def test_evict_empty_node(inv):
     assert inv.evict_placements_on("gateway-a") == []
 
 
-def test_commit_emits_one_placement_event(inv):
-    events = []
-    inv.events.subscribe(events.append)
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(1, 0, 0))
-    inv.commit(rsv.id, placement_for(rsv))
-    assert len(events) == 1
-    assert events[0].request_id == "r1"
-    assert events[0].node_id == "cloudlet-a"
-
-
 # -- persistence --------------------------------------------------------------------
+
+
+def persist(inv, path):
+    """Write the inventory's section of a state file, as Engine.save does."""
+    write_store(path, [("inventory", inv.state_document())])
+
+
+def restore(path):
+    """Load an inventory from a state file's section, as Engine.load does."""
+    inv = Inventory(load_topology(reference_topology_doc()))
+    inv.load_state_document(dict(read_store(path))["inventory"])
+    return inv
 
 
 def test_persist_restore_fresh(tmp_path, inv):
     path = str(tmp_path / "state.bin")
-    inv.persist(path)
-    restored = Inventory.restore(path, load_topology(reference_topology_doc()))
+    persist(inv, path)
+    restored = restore(path)
     assert restored.state_document() == inv.state_document()
 
 
@@ -233,19 +234,19 @@ def test_persist_restore_after_mutations(tmp_path, inv):
                   [BandwidthBooking(path=("wan",), mbps=Fraction(1, 2))])
     inv.commit(r2.id, placement_for(r2, "b"))
     path = str(tmp_path / "state.bin")
-    inv.persist(path)
-    restored = Inventory.restore(path, load_topology(reference_topology_doc()))
+    persist(inv, path)
+    restored = restore(path)
     assert restored.state_document() == inv.state_document()
     assert set(restored.snapshot().placements) == {"r1", "r2"}
 
 
 def test_restore_truncated_file_fails_cleanly(tmp_path, inv):
     path = str(tmp_path / "state.bin")
-    inv.persist(path)
+    persist(inv, path)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[: len(blob) - 7])
     with pytest.raises(StoreError):
-        Inventory.restore(path, load_topology(reference_topology_doc()))
+        restore(path)
 
 
 def test_restore_rejects_bad_magic(tmp_path):

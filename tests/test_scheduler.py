@@ -134,6 +134,12 @@ def test_access_label_match(topo, view):
 # -- priority ---------------------------------------------------------------------
 
 
+def score(node_id, req, view, topo, config=CONFIG):
+    """priority() fed the node's own filter verdict's path metrics, as negotiate does."""
+    (verdict,) = [v for v in feasible_nodes(req, view, topo, config) if v.node_id == node_id]
+    return priority(node_id, req, view, topo, config, verdict.path_metrics)
+
+
 def test_full_node_scores_039():
     # One gateway whose free capacity exactly equals the footprint: the
     # post-placement free fraction is zero in every dimension, so
@@ -146,7 +152,7 @@ def test_full_node_scores_039():
         "component": {"name": "x"},
         "requirements": [{"compute": {"vcpus": 2, "ram_mib": 512, "disk_gib": 4}}],
     })
-    scored = priority("gw", req, view, topo, CONFIG)
+    scored = score("gw", req, view, topo)
     assert scored.subscores["capacity_fit"] == 0.0
     assert scored.subscores["network_slack"] == 1.0
     assert scored.subscores["tier_preference"] == 0.3
@@ -155,8 +161,8 @@ def test_full_node_scores_039():
 
 def test_default_request_prefers_cloud(topo, view):
     req = request({"component": {"name": "x"}, "requirements": []})
-    cloud = priority("cloud", req, view, topo, CONFIG)
-    cloudlet = priority("cloudlet-a", req, view, topo, CONFIG)
+    cloud = score("cloud", req, view, topo)
+    cloudlet = score("cloudlet-a", req, view, topo)
     assert cloud.score > cloudlet.score
 
 
@@ -170,8 +176,8 @@ def test_identical_nodes_score_identically():
     })
     view = Inventory(topo).snapshot()
     req = request({"component": {"name": "x"}, "requirements": []})
-    assert priority("a", req, view, topo, CONFIG).score == \
-        priority("b", req, view, topo, CONFIG).score
+    assert score("a", req, view, topo).score == \
+        score("b", req, view, topo).score
 
 
 def test_compute_profile_reweights_capacity_fit(topo, view):
@@ -181,8 +187,8 @@ def test_compute_profile_reweights_capacity_fit(topo, view):
     mem = request({"component": {"name": "x"},
                    "requirements": [{"compute": {"profile": "memory_optimized",
                                                  "vcpus": 1, "ram_mib": 512, "disk_gib": 1}}]})
-    gw_base = priority("gateway-a", base, view, topo, CONFIG).subscores["capacity_fit"]
-    gw_mem = priority("gateway-a", mem, view, topo, CONFIG).subscores["capacity_fit"]
+    gw_base = score("gateway-a", base, view, topo).subscores["capacity_fit"]
+    gw_mem = score("gateway-a", mem, view, topo).subscores["capacity_fit"]
     assert gw_mem < gw_base
 
 
@@ -194,7 +200,7 @@ def test_network_slack_saturates_at_twice_the_floor(topo, view):
         ],
     })
     # cloudlet path bottleneck 100 vs floor 4: headroom far beyond 2x -> 1.0
-    scored = priority("cloudlet-a", req, view, topo, CONFIG)
+    scored = score("cloudlet-a", req, view, topo)
     assert scored.subscores["network_slack"] == 1.0
 
 
@@ -223,7 +229,7 @@ def test_capacity_fit_monotone_in_free_capacity(free, more):
             rsv = inv.hold("pad", "n", ResourceVector(used, 0, 0))
         req = request({"component": {"name": "x"},
                        "requirements": [{"compute": {"vcpus": 0, "ram_mib": 0, "disk_gib": 0}}]})
-        return priority("n", req, inv.snapshot(), topo, CONFIG).subscores["capacity_fit"]
+        return score("n", req, inv.snapshot(), topo).subscores["capacity_fit"]
 
     assert fit(free + more) >= fit(free)
 
@@ -250,6 +256,7 @@ def brute_force_choice(engine, doc):
             continue
         feasible = True
         slack_terms = []
+        path_metrics = []
         for net in req.network_requirements:
             row = config.threshold_for(net.profile)
             try:
@@ -259,6 +266,7 @@ def brute_force_choice(engine, doc):
                 feasible = False
                 break
             metrics = topo.path_metrics(path, view.residuals())
+            path_metrics.append(metrics)
             covered = sum((f.rate_mbps for f in req.component.flows_with_endpoint(net.endpoint)),
                           Fraction(0))
             if row.min_bandwidth_mbps is not None and not metrics.bandwidth_at_least(row.min_bandwidth_mbps):
@@ -278,7 +286,7 @@ def brute_force_choice(engine, doc):
                 slack_terms.append(1.0)
         if not feasible:
             continue
-        scored = priority(node.id, req, view, topo, config)
+        scored = priority(node.id, req, view, topo, config, path_metrics)
         key = (-scored.score, node.id)
         if best is None or key < best[0]:
             best = (key, node.id)

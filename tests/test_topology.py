@@ -180,19 +180,18 @@ def test_path_metrics_single_link():
     assert metrics.hops == 1
 
 
-# -- link state events ------------------------------------------------------------
+# -- link state ---------------------------------------------------------------------
 
 
 def test_set_link_state_emits_single_event_idempotently():
+    # True marks the one actual change that Engine.set_link_state forwards.
     topo = load_topology(chain_doc())
-    seen = []
-    topo.events.subscribe(seen.append)
-    assert topo.set_link_state("wan", False) is not None
-    assert topo.set_link_state("wan", False) is None
-    assert len(seen) == 1
-    assert seen[0].link_id == "wan" and seen[0].up is False
-    topo.set_link_state("wan", True)
-    assert len(seen) == 2
+    assert topo.set_link_state("wan", False) is True
+    assert topo.links["wan"].up is False
+    assert topo.set_link_state("wan", False) is False
+    assert topo.links["wan"].up is False
+    assert topo.set_link_state("wan", True) is True
+    assert topo.links["wan"].up is True
 
 
 def test_set_link_state_unknown_link():
