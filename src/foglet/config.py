@@ -2,8 +2,8 @@
 
 Scenarios must be reproducible from config alone, so nothing below is
 hard-coded elsewhere: the threshold table, scoring weights, the default
-compute footprint, reservation TTL, and the cache drain multiplier are all
-overridable from a config document.
+compute footprint and the cache drain multiplier are all overridable from a
+config document.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class EngineConfig:
     default_footprint: ResourceVector = field(
         default_factory=lambda: ResourceVector(0.5, 512, 1)
     )
-    reservation_ttl_s: Fraction = Fraction(30)
     drain_rate_multiplier: Fraction = Fraction(2)
 
     def threshold_for(self, profile: NetworkProfile) -> ThresholdRow:
@@ -83,7 +82,7 @@ def config_from_document(doc: Optional[Mapping], base: Optional[EngineConfig] = 
         return cfg
     unknown = set(doc) - {
         "thresholds", "weights", "tier_preference", "default_footprint",
-        "reservation_ttl_s", "drain_rate_multiplier",
+        "drain_rate_multiplier",
     }
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -110,8 +109,6 @@ def config_from_document(doc: Optional[Mapping], base: Optional[EngineConfig] = 
         cfg = replace(cfg, tier_preference=prefs)
     if "default_footprint" in doc:
         cfg = replace(cfg, default_footprint=ResourceVector.from_dict(doc["default_footprint"]))
-    if "reservation_ttl_s" in doc:
-        cfg = replace(cfg, reservation_ttl_s=mbps(doc["reservation_ttl_s"]))
     if "drain_rate_multiplier" in doc:
         cfg = replace(cfg, drain_rate_multiplier=mbps(doc["drain_rate_multiplier"]))
     return cfg

@@ -125,27 +125,33 @@ class Engine:
     def process_pending(self) -> List[DecisionRecord]:
         """Drain the queue strictly in arrival order: each request's transaction
         (negotiate, and on acceptance, placement) completes before the next
-        request is examined."""
+        request is examined. A request whose transaction raises is marked
+        failed and the exception propagates; later requests stay queued."""
         with self._lock:
-            batch, self._queue = self._queue, []
-            return [self._process_one(request) for request in batch]
+            records = []
+            while self._queue:
+                request = self._queue.pop(0)
+                try:
+                    records.append(self._process_one(request))
+                except BaseException:
+                    self._statuses[request.id] = "failed"
+                    raise
+            return records
 
     def _negotiate(self, request: DeploymentRequest):
         return negotiator.negotiate(
             request,
-            self.inventory,
+            self.inventory.snapshot(),
             self.topo,
             self.config,
             pending_flows=tuple(self._pending_flows),
             placements_by_component=dict(self._placements_by_component),
             allocate_flow_id=self._allocate_flow_id,
-            now=self.clock_s,
         )
 
     def _process_one(self, request: DeploymentRequest) -> DecisionRecord:
         outcome = self._negotiate(request)
         if isinstance(outcome, Accepted):
-            self._statuses[request.id] = "accepted"
             record = self._deploy(request, outcome)
         else:
             record = self._reject(request, outcome)
@@ -162,7 +168,6 @@ class Engine:
     def _deploy(self, request: DeploymentRequest, outcome: Accepted) -> DecisionRecord:
         placement = scheduler.schedule(
             request,
-            outcome.reservation_id,
             outcome.candidate_node,
             outcome.planned_flows,
             self.inventory,
@@ -212,7 +217,6 @@ class Engine:
             raise EngineError("advance requires dt > 0")
         with self._lock:
             self.clock_s += dt
-            self.inventory.expire_reservations(self.clock_s)
             self.flowsim.advance(dt)
 
     def set_link_state(self, link_id: str, up: bool) -> None:
@@ -300,7 +304,6 @@ class Engine:
                     "labels": sorted(node.labels),
                     "capacity": state.capacity.to_dict(),
                     "allocated": state.allocated.to_dict(),
-                    "reserved": state.reserved.to_dict(),
                 })
             return out
 

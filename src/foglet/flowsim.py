@@ -224,7 +224,8 @@ class FlowSimulator:
             flow.cache_node = None
             return False
         # Broken path: cache at the most downstream reachable cache with free
-        # space, otherwise stall. A flow already caching keeps its cache node
+        # space, and room for all of the flow's parked buffer when that has to
+        # move; otherwise stall. A flow already caching keeps its cache node
         # while that node remains reachable.
         flow.drain_rate_mbps = Fraction(0)
         reachable = self._upstream_nodes(flow, down)
@@ -235,7 +236,10 @@ class FlowSimulator:
             capacity = self.caches.get(node_id)
             if capacity is None:
                 continue
-            if self._occupied.get(node_id, Fraction(0)) < capacity:
+            occupied = self._occupied.get(node_id, Fraction(0))
+            if occupied < capacity and (
+                not flow.buffered_mbit or occupied + flow.buffered_mbit <= capacity
+            ):
                 if flow.buffered_mbit:  # the parked buffer moves with the flow
                     self._park(flow.cache_node, -flow.buffered_mbit)
                     self._park(node_id, flow.buffered_mbit)

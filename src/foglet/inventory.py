@@ -1,16 +1,16 @@
-"""Authoritative resource state: node allocations, reservations, link
-bandwidth bookings, placements, and a durable snapshot file.
+"""Authoritative resource state: node allocations, link bandwidth bookings,
+placements, and a durable snapshot file.
 
-All mutations go through a single writer lock; reads take immutable
-snapshots. The two-phase lifecycle is hold -> commit|release|expire: a held
-reservation parks quantities in `reserved`, committing moves node resources
-to `allocated` (link bandwidth stays booked under `reserved` for as long as
-the placement lives).
+Writes take the single writer lock, and the three that change placements
+are all-or-nothing: each checks everything first and raises without
+changing anything, or applies all of its changes. `place` records a
+placement, its node footprint and its bandwidth bookings in one step;
+`release_placement_bandwidth` returns one booking early;
+`evict_placements_on` frees a node. Reads take immutable snapshots.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import struct
 import threading
@@ -20,7 +20,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES, mbps
+from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES
 from .topology import Topology
 
 STORE_MAGIC = b"FGST"
@@ -32,7 +32,7 @@ class InventoryError(Exception):
 
 
 class InsufficientResources(InventoryError):
-    """A hold that does not fit; carries where and by how much it missed."""
+    """A placement that does not fit; carries where and by how much it missed."""
 
     def __init__(self, where: str, detail: str):
         self.where = where
@@ -40,19 +40,8 @@ class InsufficientResources(InventoryError):
         super().__init__(f"{where}: {detail}")
 
 
-class InvalidState(InventoryError):
-    """Reservation state-machine violation (commit after expiry, double release, ...)."""
-
-
 class StoreError(InventoryError):
     """Corrupt, truncated, or version-mismatched state file."""
-
-
-class ReservationState(enum.Enum):
-    HELD = "held"
-    COMMITTED = "committed"
-    RELEASED = "released"
-    EXPIRED = "expired"
 
 
 @dataclass(frozen=True)
@@ -65,14 +54,11 @@ class BandwidthBooking:
 
 @dataclass(frozen=True)
 class Reservation:
+    """The bandwidth bookings of one running placement, keyed by its request."""
+
     id: str
     request_id: str
-    node_id: str
-    resources: ResourceVector
     network: Tuple[BandwidthBooking, ...]
-    created_at: Fraction
-    ttl_s: Fraction
-    state: ReservationState = ReservationState.HELD
 
 
 @dataclass(frozen=True)
@@ -80,11 +66,10 @@ class NodeState:
     node_id: str
     capacity: ResourceVector
     allocated: ResourceVector = ZERO_RESOURCES
-    reserved: ResourceVector = ZERO_RESOURCES
 
     @property
     def free(self) -> ResourceVector:
-        return self.capacity - self.allocated - self.reserved
+        return self.capacity - self.allocated
 
 
 @dataclass(frozen=True)
@@ -106,7 +91,6 @@ class InventoryView:
 
     nodes: Mapping[str, NodeState]
     links: Mapping[str, LinkState]
-    reservations: Mapping[str, Reservation]
     placements: Mapping[str, Placement]
     down_links: FrozenSet[str] = frozenset()  # links down when the view was taken
 
@@ -140,6 +124,7 @@ class Inventory:
             l.id: LinkState(link_id=l.id, capacity_mbps=l.bandwidth_mbps)
             for l in topo.links.values()
         }
+        # request id -> bandwidth bookings of its running placement
         self._reservations: Dict[str, Reservation] = {}
         self._placements: Dict[str, Placement] = {}
         self._next_reservation = 1
@@ -151,43 +136,34 @@ class Inventory:
             return InventoryView(
                 nodes=dict(self._nodes),
                 links=dict(self._links),
-                reservations=dict(self._reservations),
                 placements=dict(self._placements),
                 down_links=frozenset(
                     lid for lid, link in self._topo.links.items() if not link.up
                 ),
             )
 
-    # -- two-phase reservation lifecycle --------------------------------------
+    # -- writes ------------------------------------------------------------------
 
-    def hold(
-        self,
-        request_id: str,
-        node_id: str,
-        resources: ResourceVector,
-        network: Sequence[BandwidthBooking] = (),
-        *,
-        now: Fraction = Fraction(0),
-        ttl_s: Fraction = Fraction(30),
-    ) -> Reservation:
-        """Atomically reserve node resources plus path bandwidth, or change nothing.
+    def place(self, placement: Placement, network: Sequence[BandwidthBooking] = ()) -> None:
+        """Allocate the placement's footprint on its node, book `network` and
+        record both, or raise and change nothing.
 
-        Raises InsufficientResources naming the node or link that fell short.
+        Raises InsufficientResources naming the node or link that fell short,
+        and InventoryError for an unknown node or link or a request placed before.
         """
         with self._lock:
-            node = self._nodes.get(node_id)
+            if placement.request_id in self._placements:
+                raise InventoryError(f"request {placement.request_id!r} is already placed")
+            node = self._nodes.get(placement.node_id)
             if node is None:
-                raise InventoryError(f"unknown node {node_id!r}")
-            short = resources.shortfalls(node.free)
+                raise InventoryError(f"unknown node {placement.node_id!r}")
+            short = placement.allocated.shortfalls(node.free)
             if short:
                 dim, amount = next(iter(short.items()))
                 raise InsufficientResources(
-                    f"node {node_id}", f"{dim} shortfall {amount:g}"
+                    f"node {placement.node_id}", f"{dim} shortfall {amount:g}"
                 )
-            per_link: Dict[str, Fraction] = {}
-            for booking in network:
-                for lid in booking.path:
-                    per_link[lid] = per_link.get(lid, Fraction(0)) + booking.mbps
+            per_link = _per_link(network)
             for lid, needed in per_link.items():
                 ls = self._links.get(lid)
                 if ls is None:
@@ -200,132 +176,65 @@ class Inventory:
                         f"link {lid}", f"bandwidth shortfall {float(shortfall):g} Mbit/s"
                     )
 
-            rid = f"rsv-{self._next_reservation:06d}"
-            self._next_reservation += 1
-            reservation = Reservation(
-                id=rid,
-                request_id=request_id,
-                node_id=node_id,
-                resources=resources,
-                network=tuple(network),
-                created_at=now,
-                ttl_s=ttl_s,
+            self._nodes[node.node_id] = replace(
+                node, allocated=node.allocated + placement.allocated
             )
-            self._nodes[node_id] = replace(node, reserved=node.reserved + resources)
-            for lid, needed in per_link.items():
-                ls = self._links[lid]
-                self._links[lid] = replace(ls, reserved_mbps=ls.reserved_mbps + needed)
-            self._reservations[rid] = reservation
-            return reservation
+            self._book(per_link, 1)
+            self._placements[placement.request_id] = placement
+            self._reservations[placement.request_id] = Reservation(
+                id=f"rsv-{self._next_reservation:06d}",
+                request_id=placement.request_id,
+                network=tuple(network),
+            )
+            self._next_reservation += 1
 
-    def _release_network(self, network: Iterable[BandwidthBooking]) -> None:
-        per_link: Dict[str, Fraction] = {}
-        for booking in network:
-            for lid in booking.path:
-                per_link[lid] = per_link.get(lid, Fraction(0)) + booking.mbps
+    def _book(self, per_link: Mapping[str, Fraction], sign: int) -> None:
         for lid, amount in per_link.items():
             ls = self._links[lid]
-            self._links[lid] = replace(ls, reserved_mbps=ls.reserved_mbps - amount)
-
-    def commit(self, reservation_id: str, placement: Placement) -> Placement:
-        """Move a held reservation's node resources into allocated and record
-        the placement. Link bandwidth stays booked for the placement's lifetime."""
-        with self._lock:
-            rsv = self._reservations.get(reservation_id)
-            if rsv is None:
-                raise InvalidState(f"unknown reservation {reservation_id!r}")
-            if rsv.state is not ReservationState.HELD:
-                raise InvalidState(
-                    f"reservation {reservation_id} is {rsv.state.value}, not held"
-                )
-            node = self._nodes[rsv.node_id]
-            self._nodes[rsv.node_id] = replace(
-                node,
-                reserved=node.reserved - rsv.resources,
-                allocated=node.allocated + rsv.resources,
-            )
-            self._reservations[reservation_id] = replace(
-                rsv, state=ReservationState.COMMITTED
-            )
-            self._placements[placement.request_id] = placement
-            return placement
-
-    def release(self, reservation_id: str) -> None:
-        with self._lock:
-            rsv = self._reservations.get(reservation_id)
-            if rsv is None:
-                raise InvalidState(f"unknown reservation {reservation_id!r}")
-            if rsv.state is not ReservationState.HELD:
-                raise InvalidState(
-                    f"reservation {reservation_id} is {rsv.state.value}, not held"
-                )
-            node = self._nodes[rsv.node_id]
-            self._nodes[rsv.node_id] = replace(node, reserved=node.reserved - rsv.resources)
-            self._release_network(rsv.network)
-            self._reservations[reservation_id] = replace(
-                rsv, state=ReservationState.RELEASED
-            )
-
-    def expire_reservations(self, now: Fraction) -> List[str]:
-        """Expire held reservations strictly past created_at + ttl; returns their ids."""
-        expired = []
-        with self._lock:
-            for rid, rsv in list(self._reservations.items()):
-                if rsv.state is not ReservationState.HELD:
-                    continue
-                if rsv.created_at + rsv.ttl_s < now:
-                    node = self._nodes[rsv.node_id]
-                    self._nodes[rsv.node_id] = replace(
-                        node, reserved=node.reserved - rsv.resources
-                    )
-                    self._release_network(rsv.network)
-                    self._reservations[rid] = replace(rsv, state=ReservationState.EXPIRED)
-                    expired.append(rid)
-        return expired
-
-    # -- placement teardown ----------------------------------------------------
+            self._links[lid] = replace(ls, reserved_mbps=ls.reserved_mbps + sign * amount)
 
     def release_placement_bandwidth(self, request_id: str, path: Tuple[str, ...],
                                     amount: Fraction) -> None:
         """Return one booked path's bandwidth early (flow torn down before its
-        placement is). The committed reservation keeps the remaining bookings."""
+        placement is). The placement keeps its remaining bookings."""
+        booking = BandwidthBooking(path=tuple(path), mbps=amount)
         with self._lock:
-            self._release_network([BandwidthBooking(path=path, mbps=amount)])
-            for rid, rsv in self._reservations.items():
-                if rsv.request_id != request_id or rsv.state is not ReservationState.COMMITTED:
-                    continue
-                remaining = list(rsv.network)
-                for i, b in enumerate(remaining):
-                    if b.path == path and b.mbps == amount:
-                        del remaining[i]
-                        break
-                else:
-                    continue
-                self._reservations[rid] = replace(rsv, network=tuple(remaining))
-                return
+            rsv = self._reservations.get(request_id)
+            if rsv is None or booking not in rsv.network:
+                raise InventoryError(
+                    f"request {request_id!r} books no {amount} Mbit/s on {list(path)}"
+                )
+            remaining = list(rsv.network)
+            remaining.remove(booking)
+            self._book(_per_link([booking]), -1)
+            self._reservations[request_id] = replace(rsv, network=tuple(remaining))
 
     def evict_placements_on(self, node_id: str) -> List[str]:
-        """Remove every placement on a node, freeing its allocations and any
-        bandwidth booked under its committed reservations. Returns request ids."""
+        """Remove every running placement on a node, freeing its allocations
+        and bandwidth bookings, or raise and change nothing. Returns request ids."""
         with self._lock:
-            if node_id not in self._nodes:
+            node = self._nodes.get(node_id)
+            if node is None:
                 raise InventoryError(f"unknown node {node_id!r}")
-            evicted = []
-            for req_id, placement in list(self._placements.items()):
-                if placement.node_id != node_id or placement.state is PlacementState.EVICTED:
-                    continue
-                node = self._nodes[node_id]
-                self._nodes[node_id] = replace(
-                    node, allocated=node.allocated - placement.allocated
-                )
-                for rid, rsv in self._reservations.items():
-                    if (rsv.request_id == req_id
-                            and rsv.state is ReservationState.COMMITTED):
-                        self._release_network(rsv.network)
-                        self._reservations[rid] = replace(rsv, network=())
-                self._placements[req_id] = placement.evicted()
-                evicted.append(req_id)
-            return evicted
+            victims = [
+                p for p in self._placements.values()
+                if p.node_id == node_id and p.state is PlacementState.RUNNING
+            ]
+            # Work out the new allocation first: a subtraction that raises
+            # then leaves the inventory as it was.
+            allocated = node.allocated
+            for placement in victims:
+                allocated = allocated - placement.allocated
+            per_link = _per_link(
+                b for p in victims for b in self._reservations[p.request_id].network
+            )
+
+            self._nodes[node_id] = replace(node, allocated=allocated)
+            self._book(per_link, -1)
+            for placement in victims:
+                self._placements[placement.request_id] = placement.evicted()
+                del self._reservations[placement.request_id]
+            return [p.request_id for p in victims]
 
     # -- persistence -----------------------------------------------------------
 
@@ -336,7 +245,6 @@ class Inventory:
                     nid: {
                         "capacity": ns.capacity.to_dict(),
                         "allocated": ns.allocated.to_dict(),
-                        "reserved": ns.reserved.to_dict(),
                     }
                     for nid, ns in sorted(self._nodes.items())
                 },
@@ -349,18 +257,13 @@ class Inventory:
                     for lid, ls in sorted(self._links.items())
                 },
                 "reservations": {
-                    rid: {
+                    r.id: {
                         "request_id": r.request_id,
-                        "node_id": r.node_id,
-                        "resources": r.resources.to_dict(),
                         "network": [
                             {"path": list(b.path), "mbps": str(b.mbps)} for b in r.network
                         ],
-                        "created_at": str(r.created_at),
-                        "ttl_s": str(r.ttl_s),
-                        "state": r.state.value,
                     }
-                    for rid, r in sorted(self._reservations.items())
+                    for r in sorted(self._reservations.values(), key=lambda r: r.id)
                 },
                 "placements": {
                     req_id: {
@@ -376,13 +279,13 @@ class Inventory:
             }
 
     def load_state_document(self, doc: Mapping) -> None:
+        """Also loads older documents: keys no longer written are ignored."""
         with self._lock:
             self._nodes = {
                 nid: NodeState(
                     node_id=nid,
                     capacity=ResourceVector.from_dict(nd["capacity"]),
                     allocated=ResourceVector.from_dict(nd["allocated"]),
-                    reserved=ResourceVector.from_dict(nd["reserved"]),
                 )
                 for nid, nd in doc["nodes"].items()
             }
@@ -395,18 +298,13 @@ class Inventory:
                 for lid, ld in doc["links"].items()
             }
             self._reservations = {
-                rid: Reservation(
+                rd["request_id"]: Reservation(
                     id=rid,
                     request_id=rd["request_id"],
-                    node_id=rd["node_id"],
-                    resources=ResourceVector.from_dict(rd["resources"]),
                     network=tuple(
                         BandwidthBooking(path=tuple(b["path"]), mbps=Fraction(b["mbps"]))
                         for b in rd["network"]
                     ),
-                    created_at=Fraction(rd["created_at"]),
-                    ttl_s=Fraction(rd["ttl_s"]),
-                    state=ReservationState(rd["state"]),
                 )
                 for rid, rd in doc["reservations"].items()
             }
@@ -422,6 +320,15 @@ class Inventory:
                 for req_id, pd in doc["placements"].items()
             }
             self._next_reservation = int(doc["next_reservation"])
+
+
+def _per_link(network: Iterable[BandwidthBooking]) -> Dict[str, Fraction]:
+    """Each link's total over the bookings whose paths cross it."""
+    per_link: Dict[str, Fraction] = {}
+    for booking in network:
+        for lid in booking.path:
+            per_link[lid] = per_link.get(lid, Fraction(0)) + booking.mbps
+    return per_link
 
 
 # -- durable store file format -------------------------------------------------

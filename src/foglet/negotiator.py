@@ -1,23 +1,22 @@
-"""Admission: test a request's feasibility against a fresh state snapshot,
-hold resources on the best node when it fits, reject with per-node reasons
+"""Admission: test a request's feasibility against a state snapshot, choose
+the best node and plan its flows when it fits, reject with per-node reasons
 when it does not.
 
-Negotiation and placement share one filter/rank implementation so that an
-accepted request is guaranteed schedulable: the held reservation is the
-hand-off token between the two phases. Requests are processed strictly in
-arrival order; a request's transaction fully completes (placed or rejected)
-before the next is examined.
+Negotiation only reads: the plan it accepts is placed by
+`scheduler.schedule` in the same locked engine call, against the state the
+snapshot was taken from. Requests are processed strictly in arrival order;
+a request's transaction fully completes (placed or rejected) before the
+next is examined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from . import scheduler
 from .config import EngineConfig
-from .inventory import BandwidthBooking, InsufficientResources, Inventory
+from .inventory import InventoryView
 from .model import DeploymentRequest
 from .scheduler import (
     FilterVerdict,
@@ -31,7 +30,6 @@ from .topology import Topology
 
 @dataclass(frozen=True)
 class Accepted:
-    reservation_id: str
     candidate_node: str
     planned_flows: Tuple[PlannedFlow, ...]
     deferred_flows: Tuple[PendingFlow, ...]
@@ -52,21 +50,18 @@ NegotiationOutcome = Union[Accepted, Rejected]
 
 def negotiate(
     request: DeploymentRequest,
-    inventory: Inventory,
+    view: InventoryView,
     topo: Topology,
     config: EngineConfig,
     pending_flows: Sequence[PendingFlow],
     placements_by_component,
     allocate_flow_id,
-    now: Fraction,
 ) -> NegotiationOutcome:
-    """Run the accept/reject transaction for one request.
+    """Decide one request against `view`.
 
-    On acceptance a reservation is held on the winning node covering the
-    request's compute footprint and the full traffic booking plan. Rejection
-    leaves the inventory untouched.
+    An acceptance names the chosen node and the flows to activate there,
+    with their bandwidth bookings; nothing is written until it is placed.
     """
-    view = inventory.snapshot()
     verdicts = tuple(scheduler.feasible_nodes(request, view, topo, config))
     passing = [v for v in verdicts if v.passed]
     if not passing:
@@ -95,30 +90,7 @@ def negotiate(
             scores=scores,
         )
 
-    bookings = [
-        BandwidthBooking(path=p.path, mbps=p.booked_mbps)
-        for p in planned
-        if p.path and p.booked_mbps > 0
-    ]
-    try:
-        reservation = inventory.hold(
-            request_id=request.id,
-            node_id=chosen,
-            resources=scheduler.effective_footprint(request, config),
-            network=bookings,
-            now=now,
-            ttl_s=config.reservation_ttl_s,
-        )
-    except InsufficientResources as exc:
-        # Unreachable in the sequential pipeline (the plan was just checked
-        # against the same snapshot), kept for contract completeness.
-        return Rejected(
-            reasons=_reasons_after_choice(verdicts, chosen, "hold", str(exc)),
-            verdicts=verdicts,
-            scores=scores,
-        )
     return Accepted(
-        reservation_id=reservation.id,
         candidate_node=chosen,
         planned_flows=tuple(planned),
         deferred_flows=tuple(deferred),

@@ -1,6 +1,6 @@
 """Placement pipeline: filter nodes against all requirements, rank the
-survivors, choose the best, then deploy by committing the reservation and
-activating the component's traffic flows.
+survivors, choose the best, then deploy by placing the component and its
+bandwidth bookings in the inventory and activating its traffic flows.
 
 Bandwidth accounting distinguishes two classes of traffic:
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .config import EngineConfig
-from .inventory import InventoryView
+from .inventory import BandwidthBooking, InventoryView
 from .model import (
     ApplicationComponent,
     ComputeProfile,
@@ -336,15 +336,15 @@ def choose(scored: Sequence[ScoredNode]) -> str:
 
 def schedule(
     request: DeploymentRequest,
-    reservation_id: str,
     node_id: str,
     planned_flows: Sequence[PlannedFlow],
     inventory,
     flowsim,
     config: EngineConfig,
 ):
-    """Deploy step: commit the held reservation, record the placement, and
-    bring the component's traffic flows up along their reserved paths.
+    """Deploy step, the only inventory write of a decision: place the
+    component with its flows' bandwidth bookings, then bring the flows up
+    along their booked paths.
     """
     placement = Placement(
         request_id=request.id,
@@ -353,7 +353,11 @@ def schedule(
         node_id=node_id,
         allocated=effective_footprint(request, config),
     )
-    inventory.commit(reservation_id, placement)
+    inventory.place(placement, [
+        BandwidthBooking(path=p.path, mbps=p.booked_mbps)
+        for p in planned_flows
+        if p.path and p.booked_mbps > 0
+    ])
     for plan in planned_flows:
         flowsim.activate_flow(plan)
     return placement

@@ -14,6 +14,7 @@ import pytest
 
 from foglet.config import EngineConfig, config_from_document
 from foglet.engine import Engine
+from foglet.flowsim import BYTES_PER_MBIT
 from foglet.inventory import BandwidthBooking, InsufficientResources, Inventory
 from foglet.model import Placement, ResourceVector, validate_request
 from foglet.documents import load_scenario
@@ -433,20 +434,26 @@ def test_criterion_6_inventory_conservation_10k_ops():
     inv = Inventory(topo)
     node_ids = [n.id for n in topo.hostable_nodes]
     link_ids = list(topo.links)
-    held = []
-    clock = Fraction(0)
-    ops = commits = releases = 0
+    booked = []  # (request id, booking) pairs still held
+    ops = places = evictions = returns = 0
+
+    def state():
+        # Everything state_document() renders, compared without rendering the
+        # evicted placements, which pile up over the run, on every place.
+        view = inv.snapshot()
+        return (view.nodes, view.links, view.placements, view.down_links,
+                dict(inv._reservations), inv._next_reservation)
 
     def check():
         view = inv.snapshot()
         for state in view.nodes.values():
-            assert (state.allocated + state.reserved).fits_within(state.capacity)
+            assert state.allocated.fits_within(state.capacity)
         for link in view.links.values():
             assert 0 <= link.reserved_mbps <= link.capacity_mbps
 
     while ops < 10_000:
-        op = rng.choice(["hold", "hold", "hold", "commit", "release", "expire", "evict"])
-        if op == "hold":
+        op = rng.choice(["place", "place", "place", "evict", "return"])
+        if op == "place":
             resources = ResourceVector(
                 rng.choice([0, 0.25, 0.5, 1, 2, 4, 8]),
                 rng.choice([0, 128, 512, 4096, 16384]),
@@ -458,36 +465,28 @@ def test_criterion_6_inventory_conservation_10k_ops():
                     path=tuple(rng.sample(link_ids, rng.randint(1, len(link_ids)))),
                     mbps=Fraction(rng.randint(1, 30), 10),
                 ))
-            before = inv.snapshot()
+            before = state()
             try:
-                rsv = inv.hold(f"r{ops}", rng.choice(node_ids), resources, bookings,
-                               now=clock, ttl_s=Fraction(rng.choice([5, 30, 120])))
-                held.append(rsv)
+                inv.place(Placement(
+                    request_id=f"r{ops}", tenant="t", component=f"c{ops}",
+                    node_id=rng.choice(node_ids), allocated=resources,
+                ), bookings)
+                booked.extend((f"r{ops}", b) for b in bookings)
+                places += 1
             except InsufficientResources:
-                after = inv.snapshot()
-                assert before.nodes == after.nodes, "failed hold mutated node state"
-                assert before.links == after.links, "failed hold mutated link state"
-        elif op == "commit" and held:
-            rsv = held.pop(rng.randrange(len(held)))
-            inv.commit(rsv.id, Placement(
-                request_id=rsv.request_id, tenant="t", component=f"c{ops}",
-                node_id=rsv.node_id, allocated=rsv.resources,
-            ))
-            commits += 1
-        elif op == "release" and held:
-            rsv = held.pop(rng.randrange(len(held)))
-            inv.release(rsv.id)
-            releases += 1
-        elif op == "expire":
-            clock += Fraction(rng.choice([1, 7, 31, 200]))
-            gone = set(inv.expire_reservations(clock))
-            held = [r for r in held if r.id not in gone]
+                assert state() == before, "failed place mutated state"
         elif op == "evict":
-            inv.evict_placements_on(rng.choice(node_ids))
+            gone = set(inv.evict_placements_on(rng.choice(node_ids)))
+            booked = [(r, b) for r, b in booked if r not in gone]
+            evictions += bool(gone)
+        elif op == "return" and booked:
+            request_id, booking = booked.pop(rng.randrange(len(booked)))
+            inv.release_placement_bandwidth(request_id, booking.path, booking.mbps)
+            returns += 1
         check()
         ops += 1
     assert ops >= 10_000
-    assert commits >= 1 and releases >= 1
+    assert places >= 1 and evictions >= 1 and returns >= 1
 
 
 # -- criterion 7: deterministic replay --------------------------------------------------
@@ -528,6 +527,9 @@ def test_criterion_8_byte_conservation_random_faults():
                 assert flow.sourced_mbit == (
                     flow.delivered_mbit + flow.buffered_mbit + flow.lost_mbit
                 ), flow
+                assert flow.buffered_mbit >= 0, flow
+            for node, held in engine.report().caches.items():
+                assert 0 <= held <= engine.flowsim.caches[node] * BYTES_PER_MBIT, node
 
 
 # -- criterion 9: persist/restore mid-scenario ---------------------------------------------

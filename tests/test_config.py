@@ -35,12 +35,14 @@ def test_threshold_override_merges_row_by_row():
 def test_footprint_and_ttl_overrides():
     config = config_from_document({
         "default_footprint": {"vcpus": 1, "ram_mib": 1024, "disk_gib": 2},
-        "reservation_ttl_s": 5,
         "drain_rate_multiplier": 3,
     })
     assert config.default_footprint == ResourceVector(1, 1024, 2)
-    assert config.reservation_ttl_s == 5
     assert config.drain_rate_multiplier == 3
+    # Placement is one step, so there is no held reservation to expire and
+    # a reservation TTL override is refused.
+    with pytest.raises(ValueError, match=r"unknown config keys: \['reservation_ttl_s'\]"):
+        config_from_document({"reservation_ttl_s": 5})
 
 
 def test_scenario_config_steers_placement_end_to_end():

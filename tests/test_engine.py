@@ -85,6 +85,47 @@ def test_eviction_releases_cross_owned_flow_bookings(reference_engine):
     assert view.links["lan-a"].reserved_mbps == 0
 
 
+def test_evict_node_is_all_or_nothing(tmp_path, reference_engine):
+    # Float vCPUs: 0.7 + 0.1 - 0.7 - 0.1 is below zero, so freeing both
+    # placements raises; nothing may have been evicted when it does.
+    engine = reference_engine
+    for name, vcpus in (("big", 0.7), ("small", 0.1)):
+        engine.submit({"component": {"name": name},
+                       "requirements": [{"compute": {"vcpus": vcpus}},
+                                        {"location": {"region": "metro-a"}}]})
+    records = engine.process_pending()
+    assert [r.node_id for r in records] == ["cloudlet-a", "cloudlet-a"]
+    before, after = str(tmp_path / "before.bin"), str(tmp_path / "after.bin")
+    engine.save(before)
+    try:
+        assert engine.evict_node("cloudlet-a") == [r.request_id for r in records]
+    except ValueError:
+        engine.save(after)
+        assert open(after, "rb").read() == open(before, "rb").read()
+
+
+def test_failed_transaction_fails_its_request_and_keeps_later_ones_queued(
+        reference_engine, monkeypatch):
+    engine = reference_engine
+    first = engine.submit(store_app_doc("first"))
+    second = engine.submit(store_app_doc("second"))
+    real = Engine._negotiate
+
+    def fail_first(self, request):
+        if request.id == first:
+            raise RuntimeError("planted failure")
+        return real(self, request)
+
+    monkeypatch.setattr(Engine, "_negotiate", fail_first)
+    with pytest.raises(RuntimeError, match="planted"):
+        engine.process_pending()
+    assert engine.request_status(first) == {"request_id": first, "state": "failed"}
+    assert engine.request_status(second)["state"] == "queued"
+    (record,) = engine.process_pending()
+    assert (record.request_id, record.outcome) == (second, "placed")
+    assert engine.request_status(second)["state"] == "placed"
+
+
 def test_component_flows_resolve_within_one_tenant_only(reference_engine):
     # Two tenants ship identically-named components; the produced flows must
     # pair up inside each tenant, never across.
@@ -148,8 +189,10 @@ def test_save_load_round_trip_mid_fault(tmp_path, reference_engine):
 
 def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, reference_engine):
     # State files once repeated each placement's bandwidth bookings, which now
-    # live on its reservation only; such a file still loads and re-saves to
-    # the current bytes.
+    # live on its reservation only, and carried the two-phase reservation
+    # lifecycle: each node's held `reserved` vector and each reservation's
+    # node, footprint, state, creation time and TTL. Such a file still loads
+    # and re-saves to the current bytes.
     from foglet.inventory import read_store, write_store
 
     engine = reference_engine
@@ -158,18 +201,32 @@ def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, referenc
     engine.process_pending()
     path = str(tmp_path / "now.bin")
     engine.save(path)
+    resaved = str(tmp_path / "resaved.bin")
+    Engine.load(path).save(resaved)
+    assert open(resaved, "rb").read() == open(path, "rb").read()
+
     records = read_store(path)
     inventory = dict(records)["inventory"]
+    zero = {"vcpus": 0.0, "ram_mib": 0, "disk_gib": 0}
+    for node in inventory["nodes"].values():
+        assert "reserved" not in node
+        node["reserved"] = zero
+    placements = inventory["placements"]
+    assert list(inventory["reservations"]) == ["rsv-000001", "rsv-000002"]
+    for rsv in inventory["reservations"].values():
+        assert set(rsv) == {"request_id", "network"}
+        placement = placements[rsv["request_id"]]
+        rsv.update(node_id=placement["node_id"], resources=placement["allocated"],
+                   state="committed", created_at="0", ttl_s="30")
     bookings = {}
     for rsv in inventory["reservations"].values():
         bookings.setdefault(rsv["request_id"], []).extend(rsv["network"])
     assert any(bookings.values())
-    for req_id, placement in inventory["placements"].items():
+    for req_id, placement in placements.items():
         assert "network_reservations" not in placement
         placement["network_reservations"] = bookings.get(req_id, [])
     older = str(tmp_path / "older.bin")
     write_store(older, records)
-    resaved = str(tmp_path / "resaved.bin")
     Engine.load(older).save(resaved)
     assert open(resaved, "rb").read() == open(path, "rb").read()
 

@@ -402,6 +402,9 @@ def test_running_occupancy_matches_the_oracle(cloudlet_mib, gateway_mib, setup, 
         sim = real.sim
         for node in set(sim._occupied) | set(sim.caches):
             assert sim._occupied.get(node, 0) == occupied_mbit(sim.flows, node)
+        for node, capacity in sim.caches.items():
+            assert 0 <= sim._occupied.get(node, 0) <= capacity
+        assert all(f.buffered_mbit >= 0 for f in sim.flows.values())
         assert sim.report({}).caches == oracle.sim.report({}).caches
         assert {
             fid: (f.state, f.cache_node, f.buffered_mbit) for fid, f in sim.flows.items()
@@ -424,6 +427,22 @@ def test_buffer_moves_to_upstream_cache_when_its_cache_is_cut_off():
     assert sim.report({}).caches == {"cloudlet": 0, "gateway": 40 * BYTES_PER_MBIT}
     sim.deactivate_flows_touching({"app0"})
     assert sim.report({}).caches == {"cloudlet": 0, "gateway": 0}
+
+
+def test_buffer_moves_only_into_a_cache_with_room_for_all_of_it():
+    topo = two_cache_topology(cloudlet_mib=100, gateway_mib=1)
+    sim = FlowSimulator(topo)
+    flow = sim.activate_flow(two_cache_plan("f1", 0, 50, 0))
+    set_link(topo, sim, "wan", False)
+    sim.advance(Fraction(2))
+    assert sim.report({}).caches == {"cloudlet": 10 * BYTES_PER_MBIT, "gateway": 0}
+    # The gateway's 1 MiB (8.39 Mbit) cannot take the 10 Mbit buffer, and the
+    # pole has no cache: the flow stalls and its buffer stays where it is.
+    set_link(topo, sim, "metro", False)
+    assert (flow.state, flow.cache_node) == (FlowState.STALLED, "cloudlet")
+    assert sim.report({}).caches == {"cloudlet": 10 * BYTES_PER_MBIT, "gateway": 0}
+    set_link(topo, sim, "metro", True)
+    assert (flow.state, flow.cache_node) == (FlowState.CACHING, "cloudlet")
 
 
 class CountingDict(dict):

@@ -6,9 +6,8 @@ import pytest
 from foglet.inventory import (
     BandwidthBooking,
     InsufficientResources,
-    InvalidState,
     Inventory,
-    ReservationState,
+    InventoryError,
     StoreError,
     read_store,
     write_store,
@@ -23,13 +22,13 @@ def inv():
     return Inventory(load_topology(reference_topology_doc()))
 
 
-def placement_for(reservation, component="comp"):
+def placement(request_id, node_id, resources, component="comp"):
     return Placement(
-        request_id=reservation.request_id,
+        request_id=request_id,
         tenant="default",
         component=component,
-        node_id=reservation.node_id,
-        allocated=reservation.resources,
+        node_id=node_id,
+        allocated=resources,
     )
 
 
@@ -37,17 +36,15 @@ def test_fresh_snapshot_is_all_zero(inv):
     view = inv.snapshot()
     for state in view.nodes.values():
         assert state.allocated.is_zero()
-        assert state.reserved.is_zero()
     for link in view.links.values():
         assert link.reserved_mbps == 0
 
 
 def test_snapshot_reflects_committed_placement(inv):
-    rsv = inv.hold("r1", "cloud", ResourceVector(2, 2048, 0))
-    inv.commit(rsv.id, placement_for(rsv))
+    inv.place(placement("r1", "cloud", ResourceVector(2, 2048, 0)))
     state = inv.snapshot().nodes["cloud"]
     assert state.allocated == ResourceVector(2, 2048, 0)
-    assert state.reserved.is_zero()
+    assert state.free == ResourceVector(30, 63488, 1000)
 
 
 def test_snapshots_without_writes_are_equal(inv):
@@ -57,59 +54,78 @@ def test_snapshots_without_writes_are_equal(inv):
 
 def test_snapshot_immune_to_later_writes(inv):
     before = inv.snapshot()
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10))
-    inv.commit(rsv.id, placement_for(rsv))
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
     assert before.nodes["cloudlet-a"].allocated.is_zero()
-    assert before.nodes["cloudlet-a"].reserved.is_zero()
+    assert "r1" not in before.placements
+
+
+def test_commit_conserves_quantities(inv):
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
+              [BandwidthBooking(path=("wan", "lan-a"), mbps=Fraction(3, 2))])
+    view = inv.snapshot()
+    assert view.nodes["cloudlet-a"].allocated == ResourceVector(2, 2048, 10)
+    assert view.links["wan"].reserved_mbps == Fraction(3, 2)
+    assert view.links["lan-a"].reserved_mbps == Fraction(3, 2)
+    assert view.placements["r1"].node_id == "cloudlet-a"
+    doc = inv.state_document()
+    assert doc["reservations"] == {"rsv-000001": {
+        "request_id": "r1", "network": [{"path": ["wan", "lan-a"], "mbps": "3/2"}],
+    }}
+    assert doc["next_reservation"] == 2
 
 
 def test_hold_within_cloudlet_capacity(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10))
-    assert rsv.state is ReservationState.HELD
-    assert inv.snapshot().nodes["cloudlet-a"].reserved == ResourceVector(2, 2048, 10)
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
+    state = inv.snapshot().nodes["cloudlet-a"]
+    assert state.allocated == ResourceVector(2, 2048, 10)
+    assert state.free == ResourceVector(2, 14336, 470)
 
 
 def test_second_hold_beyond_capacity_names_shortfall(inv):
-    inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10))
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
     with pytest.raises(InsufficientResources) as err:
-        inv.hold("r2", "cloudlet-a", ResourceVector(3, 1024, 10))
+        inv.place(placement("r2", "cloudlet-a", ResourceVector(3, 1024, 10)))
     assert "vcpus shortfall 1" in str(err.value)
 
 
 def test_zero_hold_succeeds(inv):
-    rsv = inv.hold("r1", "gateway-a", ResourceVector())
-    assert rsv.state is ReservationState.HELD
-    assert inv.snapshot().nodes["gateway-a"].reserved.is_zero()
+    inv.place(placement("r1", "gateway-a", ResourceVector()))
+    view = inv.snapshot()
+    assert view.nodes["gateway-a"].allocated.is_zero()
+    assert "r1" in view.placements
 
 
 def test_failed_hold_changes_nothing(inv):
-    inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10),
-             [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
-    before = inv.snapshot()
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    before = inv.state_document()
     with pytest.raises(InsufficientResources):
-        inv.hold("r2", "cloudlet-a", ResourceVector(1, 100, 1),
-                 [BandwidthBooking(path=("wan",), mbps=Fraction(5))])
-    after = inv.snapshot()
-    assert before.nodes == after.nodes
-    assert before.links == after.links
+        inv.place(placement("r2", "cloudlet-a", ResourceVector(1, 100, 1)),
+                  [BandwidthBooking(path=("wan",), mbps=Fraction(5))])
+    with pytest.raises(InventoryError, match="unknown node"):
+        inv.place(placement("r2", "nowhere", ResourceVector()))
+    with pytest.raises(InventoryError, match="unknown link"):
+        inv.place(placement("r2", "cloud", ResourceVector()),
+                  [BandwidthBooking(path=("lan-a", "ghost"), mbps=Fraction(1))])
+    assert inv.state_document() == before
 
 
 def test_hold_checks_aggregate_bandwidth_across_paths(inv):
     with pytest.raises(InsufficientResources, match="wan"):
-        inv.hold("r1", "cloudlet-a", ResourceVector(), [
+        inv.place(placement("r1", "cloudlet-a", ResourceVector()), [
             BandwidthBooking(path=("wan",), mbps=Fraction(3, 2)),
             BandwidthBooking(path=("wan", "lan-a"), mbps=Fraction(1)),
         ])
 
 
 def test_hold_rejects_down_link():
-    # Link up/down is owned by the topology; holds read it there.
+    # Link up/down is owned by the topology; placements read it there.
     topo = load_topology(reference_topology_doc())
     inv = Inventory(topo)
     topo.set_link_state("wan", False)
     with pytest.raises(InsufficientResources, match="down"):
-        inv.hold("r1", "cloudlet-a", ResourceVector(),
-                 [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+        inv.place(placement("r1", "cloudlet-a", ResourceVector()),
+                  [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
 
 
 def test_snapshot_records_down_links_when_taken():
@@ -130,75 +146,87 @@ def test_residual_map_is_built_once_per_snapshot_and_read_only(inv):
         view.residuals()["wan"] = Fraction(0)
 
 
-def test_commit_conserves_quantities(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10))
-    inv.commit(rsv.id, placement_for(rsv))
-    state = inv.snapshot().nodes["cloudlet-a"]
-    assert state.allocated == ResourceVector(2, 2048, 10)
-    assert state.reserved.is_zero()
+def test_release_placement_bandwidth_returns_one_booking(inv):
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)), [
+        BandwidthBooking(path=("wan",), mbps=Fraction(1, 2)),
+        BandwidthBooking(path=("wan", "lan-a"), mbps=Fraction(1)),
+    ])
+    inv.release_placement_bandwidth("r1", ("wan",), Fraction(1, 2))
+    view = inv.snapshot()
+    assert view.links["wan"].reserved_mbps == 1
+    assert view.links["lan-a"].reserved_mbps == 1
+    (record,) = inv.state_document()["reservations"].values()
+    assert record["network"] == [{"path": ["wan", "lan-a"], "mbps": "1"}]
+
+
+def test_release_of_unbooked_bandwidth_raises_and_changes_nothing(inv):
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    before = inv.state_document()
+    for request_id, path, amount in (("r1", ("wan",), Fraction(2)),
+                                     ("r1", ("lan-a",), Fraction(1)),
+                                     ("r9", ("wan",), Fraction(1))):
+        with pytest.raises(InventoryError, match="books no"):
+            inv.release_placement_bandwidth(request_id, path, amount)
+    assert inv.state_document() == before
+
+
+def test_evict_frees_placement(inv):
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    inv.place(placement("r2", "cloud", ResourceVector(1, 0, 0)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1, 2))])
+    assert inv.evict_placements_on("cloudlet-a") == ["r1"]
+    view = inv.snapshot()
+    assert view.nodes["cloudlet-a"].allocated.is_zero()
+    assert view.links["wan"].reserved_mbps == Fraction(1, 2)
+    assert view.placements["r1"].state.value == "evicted"
+    assert [r["request_id"] for r in inv.state_document()["reservations"].values()] == ["r2"]
+    assert inv.evict_placements_on("cloudlet-a") == []
 
 
 def test_double_commit_is_invalid(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(1, 0, 0))
-    inv.commit(rsv.id, placement_for(rsv))
-    with pytest.raises(InvalidState):
-        inv.commit(rsv.id, placement_for(rsv))
-
-
-def test_commit_after_expiry_sweep_is_invalid(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(1, 0, 0),
-                   now=Fraction(0), ttl_s=Fraction(30))
-    assert inv.expire_reservations(Fraction(31)) == [rsv.id]
-    with pytest.raises(InvalidState, match="expired"):
-        inv.commit(rsv.id, placement_for(rsv))
+    # A request is placed once; placing it again would count its footprint twice.
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)))
+    before = inv.state_document()
+    with pytest.raises(InventoryError, match="already placed"):
+        inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)))
+    inv.evict_placements_on("cloudlet-a")
+    with pytest.raises(InventoryError, match="already placed"):
+        inv.place(placement("r1", "cloud", ResourceVector(1, 0, 0)))
+    assert inv.state_document()["nodes"]["cloud"] == before["nodes"]["cloud"]
 
 
 def test_release_restores_pre_hold_state(inv):
+    # Evicting a placement returns everything placing it took.
     before = inv.snapshot()
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10),
-                   [BandwidthBooking(path=("lan-a",), mbps=Fraction(4))])
-    inv.release(rsv.id)
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
+              [BandwidthBooking(path=("lan-a",), mbps=Fraction(4))])
+    inv.evict_placements_on("cloudlet-a")
     after = inv.snapshot()
     assert before.nodes == after.nodes
     assert before.links == after.links
 
 
 def test_release_committed_is_invalid(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(1, 0, 0))
-    inv.commit(rsv.id, placement_for(rsv))
-    with pytest.raises(InvalidState):
-        inv.release(rsv.id)
+    # Returning bandwidth early frees only the booking; the footprint of a
+    # placed request stays until eviction, and a booking returns only once.
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    inv.release_placement_bandwidth("r1", ("wan",), Fraction(1))
+    assert inv.snapshot().nodes["cloudlet-a"].allocated == ResourceVector(1, 0, 0)
+    before = inv.state_document()
+    with pytest.raises(InventoryError, match="books no"):
+        inv.release_placement_bandwidth("r1", ("wan",), Fraction(1))
+    assert inv.state_document() == before
 
 
 def test_release_then_hold_same_amounts(inv):
     full = ResourceVector(4, 16384, 480)
-    rsv = inv.hold("r1", "cloudlet-a", full)
-    inv.release(rsv.id)
-    rsv2 = inv.hold("r2", "cloudlet-a", full)
-    assert rsv2.state is ReservationState.HELD
-
-
-def test_expire_with_no_held_reservations(inv):
-    assert inv.expire_reservations(Fraction(10**6)) == []
-
-
-def test_expiry_boundary_is_strict(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(1, 0, 0),
-                   now=Fraction(0), ttl_s=Fraction(30))
-    assert inv.expire_reservations(Fraction(30)) == []  # exactly at the boundary
-    assert inv.expire_reservations(Fraction(30) + Fraction(1, 1000)) == [rsv.id]
-    assert inv.snapshot().nodes["cloudlet-a"].reserved.is_zero()
-
-
-def test_evict_frees_placement(inv):
-    rsv = inv.hold("r1", "cloudlet-a", ResourceVector(2, 2048, 10),
-                   [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
-    inv.commit(rsv.id, placement_for(rsv))
-    assert inv.evict_placements_on("cloudlet-a") == ["r1"]
-    view = inv.snapshot()
-    assert view.nodes["cloudlet-a"].allocated.is_zero()
-    assert view.links["wan"].reserved_mbps == 0
-    assert view.placements["r1"].state.value == "evicted"
+    inv.place(placement("r1", "cloudlet-a", full))
+    inv.evict_placements_on("cloudlet-a")
+    inv.place(placement("r2", "cloudlet-a", full))
+    assert inv.snapshot().nodes["cloudlet-a"].free.is_zero()
 
 
 def test_evict_empty_node(inv):
@@ -228,11 +256,9 @@ def test_persist_restore_fresh(tmp_path, inv):
 
 
 def test_persist_restore_after_mutations(tmp_path, inv):
-    r1 = inv.hold("r1", "cloud", ResourceVector(2, 2048, 10))
-    inv.commit(r1.id, placement_for(r1, "a"))
-    r2 = inv.hold("r2", "cloudlet-a", ResourceVector(1, 512, 1),
-                  [BandwidthBooking(path=("wan",), mbps=Fraction(1, 2))])
-    inv.commit(r2.id, placement_for(r2, "b"))
+    inv.place(placement("r1", "cloud", ResourceVector(2, 2048, 10), "a"))
+    inv.place(placement("r2", "cloudlet-a", ResourceVector(1, 512, 1), "b"),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1, 2))])
     path = str(tmp_path / "state.bin")
     persist(inv, path)
     restored = restore(path)
@@ -275,20 +301,18 @@ def test_conservation_under_random_ops():
     inv = Inventory(topo)
     node_ids = [n.id for n in topo.hostable_nodes]
     link_ids = list(topo.links)
-    held = []
-    clock = Fraction(0)
+    booked = []  # (request id, booking) pairs still held
 
     def check_invariants():
         view = inv.snapshot()
         for state in view.nodes.values():
-            total = state.allocated + state.reserved
-            assert total.fits_within(state.capacity), state
+            assert state.allocated.fits_within(state.capacity), state
         for link in view.links.values():
             assert 0 <= link.reserved_mbps <= link.capacity_mbps, link
 
     for step in range(2000):
-        op = rng.choice(["hold", "hold", "commit", "release", "expire", "evict"])
-        if op == "hold":
+        op = rng.choice(["place", "place", "release", "evict"])
+        if op == "place":
             resources = ResourceVector(
                 rng.choice([0, 0.5, 1, 2, 4]),
                 rng.choice([0, 256, 2048, 8192]),
@@ -300,31 +324,16 @@ def test_conservation_under_random_ops():
                     path=tuple(rng.sample(link_ids, rng.randint(1, len(link_ids)))),
                     mbps=Fraction(rng.randint(1, 40), 10),
                 ))
-            before = inv.snapshot()
+            before = inv.state_document()
             try:
-                rsv = inv.hold(f"r{step}", rng.choice(node_ids), resources, bookings,
-                               now=clock, ttl_s=Fraction(30))
-                held.append(rsv)
+                inv.place(placement(f"r{step}", rng.choice(node_ids), resources), bookings)
+                booked.extend((f"r{step}", b) for b in bookings)
             except InsufficientResources:
-                after = inv.snapshot()
-                assert before.nodes == after.nodes
-                assert before.links == after.links
-        elif op == "commit" and held:
-            rsv = held.pop(rng.randrange(len(held)))
-            try:
-                inv.commit(rsv.id, placement_for(rsv, f"c{step}"))
-            except InvalidState:
-                pass
-        elif op == "release" and held:
-            rsv = held.pop(rng.randrange(len(held)))
-            try:
-                inv.release(rsv.id)
-            except InvalidState:
-                pass
-        elif op == "expire":
-            clock += rng.choice([Fraction(1), Fraction(10), Fraction(40)])
-            expired = set(inv.expire_reservations(clock))
-            held = [r for r in held if r.id not in expired]
+                assert inv.state_document() == before
+        elif op == "release" and booked:
+            request_id, booking = booked.pop(rng.randrange(len(booked)))
+            inv.release_placement_bandwidth(request_id, booking.path, booking.mbps)
         elif op == "evict":
-            inv.evict_placements_on(rng.choice(node_ids))
+            gone = set(inv.evict_placements_on(rng.choice(node_ids)))
+            booked = [(r, b) for r, b in booked if r not in gone]
         check_invariants()

@@ -2,7 +2,8 @@ import json
 
 from foglet.config import EngineConfig
 from foglet.engine import Engine
-from foglet.inventory import ReservationState
+from foglet.model import validate_request
+from foglet import negotiator
 from foglet.topology import load_topology
 from tests.conftest import camera_app_doc, reference_topology_doc, store_app_doc
 
@@ -179,9 +180,10 @@ def test_accepted_implies_commit_succeeds(reference_engine):
 
 
 def test_hold_and_commit_happen_in_one_decision(reference_engine, monkeypatch):
-    # Only advance expires reservations, and a decision holds and commits in one
-    # process_pending call under the engine lock, so no reservation is left held
-    # between calls and each accepted request is deployed exactly once.
+    # What was a hold and a commit is now one step inside one decision:
+    # negotiation only reads, and the deploy step is the decision's one
+    # inventory write, made once per accepted request and never for a
+    # rejected one.
     import foglet.engine as engine_mod
 
     real_deploy = engine_mod.Engine._deploy
@@ -202,8 +204,24 @@ def test_hold_and_commit_happen_in_one_decision(reference_engine, monkeypatch):
     records = reference_engine.process_pending()
     assert [r.outcome for r in records] == ["placed", "placed", "rejected", "placed"]
     assert deployed == [r.request_id for r in records if r.outcome == "placed"]
-    reservations = reference_engine.inventory.snapshot().reservations.values()
-    assert all(r.state is not ReservationState.HELD for r in reservations)
+    doc = reference_engine.inventory.state_document()
+    assert sorted(r["request_id"] for r in doc["reservations"].values()) == deployed
+    assert doc["next_reservation"] == len(deployed) + 1
+
+
+def test_negotiation_writes_nothing(reference_engine):
+    engine = reference_engine
+    engine.submit(store_app_doc())
+    engine.process_pending()
+    before = engine.inventory.state_document()
+    request = validate_request(camera_app_doc(svs=True), request_id="probe")
+    outcome = negotiator.negotiate(
+        request, engine.inventory.snapshot(), engine.topo, engine.config,
+        pending_flows=(), placements_by_component={}, allocate_flow_id=lambda: "f",
+    )
+    assert isinstance(outcome, negotiator.Accepted)
+    assert outcome.candidate_node == "cloudlet-a"
+    assert engine.inventory.state_document() == before
 
 
 def test_fcfs_replay_is_deterministic():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from foglet.config import EngineConfig
 from foglet.engine import Engine
 from foglet.inventory import Inventory
-from foglet.model import ResourceVector, validate_request
+from foglet.model import Placement, ResourceVector, validate_request
 from foglet.scheduler import choose, feasible_nodes, priority, ScoredNode
 from foglet.topology import load_topology
 from tests.conftest import reference_topology_doc
@@ -226,7 +226,7 @@ def test_capacity_fit_monotone_in_free_capacity(free, more):
         inv = Inventory(topo)
         used = 32 - vcpus_free
         if used > 0:
-            rsv = inv.hold("pad", "n", ResourceVector(used, 0, 0))
+            inv.place(Placement("pad", "t", "pad", "n", ResourceVector(used, 0, 0)))
         req = request({"component": {"name": "x"},
                        "requirements": [{"compute": {"vcpus": 0, "ram_mib": 0, "disk_gib": 0}}]})
         return score("n", req, inv.snapshot(), topo).subscores["capacity_fit"]
