@@ -4,6 +4,11 @@ simulator, FCFS request queue, virtual clock, and decision history.
 Everything is driven by explicit calls (submit, process_pending, advance,
 set_link_state), so a scenario is fully deterministic: no wall-clock time,
 no background activity.
+
+The decision history is saved as a journal, one JSON line per record in the
+order the decisions were made. Records never change, so each is encoded
+once, at the first save after it is made, and a loaded journal is decoded
+only when `explain` or `request_status` first needs a record.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .negotiator import Accepted, Rejected
 from .scheduler import PendingFlow
 from .topology import Topology, topology_to_document, topology_from_snapshot
 
-ENGINE_STORE_VERSION = 1
+ENGINE_STORE_VERSION = 2
+DECIDED = frozenset({"placed", "rejected"})  # the statuses that have a record
 
 audit_log = logging.getLogger("foglet.audit")
 
@@ -63,6 +69,19 @@ class DecisionRecord:
             "decided_at": float(self.decided_at),
         }
 
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "DecisionRecord":
+        return cls(
+            request_id=d["request_id"],
+            component=d["component"],
+            outcome=d["outcome"],
+            node_id=d["node_id"],
+            reasons=tuple(tuple(r) for r in d["reasons"]),
+            verdicts=tuple(d["verdicts"]),
+            scores=tuple(d["scores"]),
+            decided_at=mbps(d["decided_at"]),
+        )
+
 
 class EngineError(Exception):
     pass
@@ -83,7 +102,14 @@ class Engine:
         self.clock_s = Fraction(0)
         self._queue: List[DeploymentRequest] = []
         self._statuses: Dict[str, str] = {}
-        self.decisions: Dict[str, DecisionRecord] = {}
+        self._decisions: Dict[str, DecisionRecord] = {}
+        # The journal holds the encoded lines of the records made before the
+        # last save or load; records made since wait in _unjournaled. After a
+        # load, the first _undecoded bytes of the journal are not in
+        # _decisions yet.
+        self._journal = bytearray()
+        self._unjournaled: List[DecisionRecord] = []
+        self._undecoded = 0
         self._placements_by_component: Dict[Tuple[str, str], Tuple[str, str]] = {}
         self._pending_flows: List[PendingFlow] = []
         self._next_request = 1
@@ -92,9 +118,12 @@ class Engine:
     # -- identifiers (sequential: replays must produce identical ids) -----------
 
     def _allocate_request_id(self) -> str:
-        rid = f"req-{self._next_request:06d}"
-        self._next_request += 1
-        return rid
+        """The next sequential id that no request has taken yet."""
+        while True:
+            rid = f"req-{self._next_request:06d}"
+            self._next_request += 1
+            if rid not in self._statuses:
+                return rid
 
     def _allocate_flow_id(self) -> str:
         fid = f"flow-{self._next_flow:06d}"
@@ -155,7 +184,6 @@ class Engine:
             record = self._deploy(request, outcome)
         else:
             record = self._reject(request, outcome)
-        self.decisions[request.id] = record
         audit_log.info("%s", json.dumps({
             "request_id": record.request_id,
             "outcome": record.outcome,
@@ -163,6 +191,8 @@ class Engine:
             "reasons": [list(r) for r in record.reasons],
             "timestamp": float(record.decided_at),
         }, sort_keys=True))
+        self._decisions[request.id] = record
+        self._unjournaled.append(record)
         return record
 
     def _deploy(self, request: DeploymentRequest, outcome: Accepted) -> DecisionRecord:
@@ -263,8 +293,8 @@ class Engine:
             if state is None:
                 return None
             out = {"request_id": request_id, "state": state}
-            record = self.decisions.get(request_id)
-            if record is not None:
+            if state in DECIDED:
+                record = self._decision(request_id)
                 if record.outcome == "placed":
                     out["placement"] = {"node_id": record.node_id}
                 else:
@@ -273,8 +303,25 @@ class Engine:
 
     def explain(self, request_id: str) -> Optional[dict]:
         with self._lock:
-            record = self.decisions.get(request_id)
-            return None if record is None else record.to_dict()
+            if self._statuses.get(request_id) not in DECIDED:
+                return None
+            return self._decision(request_id).to_dict()
+
+    def _decision(self, request_id: str) -> DecisionRecord:
+        """The record of a decided request, decoding a loaded journal first
+        if it has not been decoded yet. Call with the lock held."""
+        if self._undecoded:
+            lines = self._journal[: self._undecoded].split(b"\n")[:-1]
+            try:
+                records = [DecisionRecord.from_dict(json.loads(line)) for line in lines]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreError(f"corrupt decision journal: {exc!r}") from exc
+            self._decisions.update((r.request_id, r) for r in records)
+            self._undecoded = 0
+        record = self._decisions.get(request_id)
+        if record is None:
+            raise StoreError(f"decision journal has no record of {request_id!r}")
+        return record
 
     def placements(self) -> List[dict]:
         with self._lock:
@@ -340,12 +387,15 @@ class Engine:
                     }
                     for w in self._pending_flows
                 ],
-                "decisions": {
-                    rid: record.to_dict() for rid, record in sorted(self.decisions.items())
-                },
             }
+            self._journal += b"".join(
+                json.dumps(r.to_dict(), sort_keys=True).encode() + b"\n"
+                for r in self._unjournaled
+            )
+            self._unjournaled.clear()
             write_store(path, [
                 ("meta", meta),
+                ("decisions", self._journal),
                 ("topology", topology_to_document(self.topo)),
                 ("inventory", self.inventory.state_document()),
                 ("flowsim", self.flowsim.state_document()),
@@ -354,12 +404,22 @@ class Engine:
     @classmethod
     def load(cls, path: str, config: Optional[EngineConfig] = None) -> "Engine":
         records = dict(read_store(path))
-        for kind in ("meta", "topology", "inventory", "flowsim"):
+        for kind in ("meta", "decisions", "topology", "inventory", "flowsim"):
             if kind not in records:
                 raise StoreError(f"state file is missing its {kind} section")
         meta = records["meta"]
-        if meta.get("engine_version") != ENGINE_STORE_VERSION:
-            raise StoreError("state file engine version mismatch")
+        version = meta.get("engine_version")
+        if version != ENGINE_STORE_VERSION:
+            raise StoreError(
+                f"state file engine version {version!r} != supported {ENGINE_STORE_VERSION}"
+            )
+        journal = records["decisions"]
+        decided = sum(state in DECIDED for state in meta["statuses"].values())
+        if not isinstance(journal, bytes) or journal.count(b"\n") != decided \
+                or journal[-1:] not in (b"", b"\n"):
+            raise StoreError(
+                f"decision journal does not hold one line for each of {decided} decided requests"
+            )
         topo = topology_from_snapshot(records["topology"])
         engine = cls(topo, config=config)
         engine.inventory.load_state_document(records["inventory"])
@@ -388,19 +448,8 @@ class Engine:
             )
             for w in meta["pending_flows"]
         ]
-        engine.decisions = {
-            rid: DecisionRecord(
-                request_id=d["request_id"],
-                component=d["component"],
-                outcome=d["outcome"],
-                node_id=d["node_id"],
-                reasons=tuple(tuple(r) for r in d["reasons"]),
-                verdicts=tuple(d["verdicts"]),
-                scores=tuple(d["scores"]),
-                decided_at=mbps(d["decided_at"]),
-            )
-            for rid, d in meta["decisions"].items()
-        }
+        engine._journal = bytearray(journal)
+        engine._undecoded = len(journal)
         return engine
 
 

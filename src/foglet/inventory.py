@@ -12,19 +12,20 @@ placement, its node footprint and its bandwidth bookings in one step;
 from __future__ import annotations
 
 import json
+import os
 import struct
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES
 from .topology import Topology
 
 STORE_MAGIC = b"FGST"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 class InventoryError(Exception):
@@ -332,28 +333,33 @@ def _per_link(network: Iterable[BandwidthBooking]) -> Dict[str, Fraction]:
 
 
 # -- durable store file format -------------------------------------------------
-# magic | u32 version | repeated records of u32 length + JSON payload. Readers
-# validate the whole file before handing any state back, so a truncated or
-# corrupt file never yields partial state.
+# magic | u32 version | repeated sections of u8 encoding | u8 name length |
+# u32 body length | name | body. A JSON section's body is its mapping as JSON;
+# a raw section's body is bytes the store does not interpret. Readers validate
+# the framing of the whole file before handing any state back, so a truncated
+# or corrupt file never yields partial state.
+
+_SECTION = struct.Struct(">cBI")
+_JSON, _RAW = b"J", b"R"
 
 
-def write_store(path: str, records: Sequence[Tuple[str, Mapping]]) -> None:
-    blob = bytearray()
-    blob += STORE_MAGIC
-    blob += struct.pack(">I", STORE_VERSION)
-    for kind, payload in records:
-        body = json.dumps({"kind": kind, "data": payload}, sort_keys=True).encode()
-        blob += struct.pack(">I", len(body))
-        blob += body
+def write_store(path: str, sections: Sequence[Tuple[str, Union[Mapping, bytes]]]) -> None:
+    """Write `(name, payload)` sections; a `bytes` or `bytearray` payload is
+    written as it is, and reads back as `bytes`."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    import os
-
+        fh.write(STORE_MAGIC + struct.pack(">I", STORE_VERSION))
+        for name, payload in sections:
+            raw = isinstance(payload, (bytes, bytearray))
+            body = payload if raw else json.dumps(payload, sort_keys=True).encode()
+            key = name.encode()
+            fh.write(_SECTION.pack(_RAW if raw else _JSON, len(key), len(body)))
+            fh.write(key)
+            fh.write(body)
     os.replace(tmp, path)
 
 
-def read_store(path: str) -> List[Tuple[str, dict]]:
+def read_store(path: str) -> List[Tuple[str, Union[dict, bytes]]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(STORE_MAGIC) + 4 or blob[: len(STORE_MAGIC)] != STORE_MAGIC:
@@ -363,20 +369,22 @@ def read_store(path: str) -> List[Tuple[str, dict]]:
     if version != STORE_VERSION:
         raise StoreError(f"state file version {version} != supported {STORE_VERSION}")
     offset += 4
-    records = []
+    sections = []
     while offset < len(blob):
-        if offset + 4 > len(blob):
-            raise StoreError("truncated record header")
-        (length,) = struct.unpack_from(">I", blob, offset)
-        offset += 4
-        if offset + length > len(blob):
-            raise StoreError("truncated record body")
+        if offset + _SECTION.size > len(blob):
+            raise StoreError("truncated section header")
+        encoding, key_len, length = _SECTION.unpack_from(blob, offset)
+        offset += _SECTION.size
+        end = offset + key_len + length
+        if end > len(blob):
+            raise StoreError("truncated section body")
+        if encoding not in (_JSON, _RAW):
+            raise StoreError(f"unknown section encoding {encoding!r}")
         try:
-            record = json.loads(blob[offset : offset + length])
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt record: {exc}") from exc
-        if not isinstance(record, dict) or "kind" not in record or "data" not in record:
-            raise StoreError("malformed record")
-        records.append((record["kind"], record["data"]))
-        offset += length
-    return records
+            name = blob[offset : offset + key_len].decode()
+            body = blob[offset + key_len : end]
+            sections.append((name, json.loads(body) if encoding == _JSON else body))
+        except ValueError as exc:  # a JSON or UTF-8 decoding error
+            raise StoreError(f"corrupt section: {exc}") from exc
+        offset = end
+    return sections

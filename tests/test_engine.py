@@ -1,12 +1,30 @@
+import copy
+import dataclasses
 import json
+import os
+import struct
+import sys
+import tempfile
+import threading
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
+from foglet.config import EngineConfig, config_from_document
+from foglet.documents import load_scenario
 from foglet.engine import Engine
-from foglet.inventory import StoreError
+from foglet.inventory import STORE_MAGIC, StoreError, read_store, write_store
 from foglet.model import ReferenceError_, ValidationError
-from tests.conftest import camera_app_doc, store_app_doc
+from foglet.scenario import build_engine, run_scenario
+from foglet.topology import load_topology
+from tests.conftest import (
+    SCENARIO_DIR,
+    camera_app_doc,
+    reference_topology_doc,
+    store_app_doc,
+)
 
 
 def test_submit_assigns_sequential_ids(reference_engine):
@@ -193,8 +211,6 @@ def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, referenc
     # lifecycle: each node's held `reserved` vector and each reservation's
     # node, footprint, state, creation time and TTL. Such a file still loads
     # and re-saves to the current bytes.
-    from foglet.inventory import read_store, write_store
-
     engine = reference_engine
     engine.submit(camera_app_doc(svs=True))
     engine.submit(store_app_doc())
@@ -232,8 +248,6 @@ def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, referenc
 
 
 def test_load_rejects_missing_sections(tmp_path):
-    from foglet.inventory import write_store
-
     path = str(tmp_path / "partial.bin")
     write_store(path, [("meta", {"engine_version": 1})])
     with pytest.raises(StoreError, match="missing"):
@@ -248,3 +262,214 @@ def test_queued_requests_survive_save_load(tmp_path, reference_engine):
     (record,) = clone.process_pending()
     assert record.outcome == "placed"
     assert record.component == "later"
+
+
+# -- the decision journal ------------------------------------------------------------
+
+
+def _decide_three(engine):
+    """Two placements and one rejection."""
+    engine.submit(camera_app_doc(svs=True))
+    engine.submit(store_app_doc())
+    engine.submit({"component": {"name": "huge"},
+                   "requirements": [{"compute": {"vcpus": 64}}]})
+    assert [r.outcome for r in engine.process_pending()] == ["placed", "placed", "rejected"]
+    return engine
+
+
+def _saved(engine, path) -> bytes:
+    engine.save(str(path))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _with_section(sections, name, payload):
+    return [(n, payload if n == name else p) for n, p in sections]
+
+
+@pytest.mark.parametrize("name", ["usecase_a", "usecase_b", "usecase_c"])
+def test_checkpoint_after_every_step_saves_what_an_uninterrupted_run_saves(tmp_path, name):
+    script = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.yaml"))
+    config = config_from_document(script.config, EngineConfig())
+    engine = build_engine(script)
+    assert run_scenario(script, engine).ok
+    uninterrupted = _saved(engine, tmp_path / "uninterrupted.bin")
+
+    path = str(tmp_path / "step.bin")
+    engine = build_engine(script)
+    for step in script.steps:
+        assert run_scenario(dataclasses.replace(script, steps=[step]), engine).ok
+        engine.save(path)
+        engine = Engine.load(path, config=config)
+    assert _saved(engine, path) == uninterrupted
+
+
+def test_a_loaded_engine_explains_every_request_as_before(tmp_path, reference_engine):
+    engine = _decide_three(reference_engine)
+    engine.submit(store_app_doc("queued"))
+    before = {rid: (engine.explain(rid), engine.request_status(rid))
+              for rid in engine.request_ids()}
+    assert sum(explained is not None for explained, _ in before.values()) == 3
+    engine.save(str(tmp_path / "state.bin"))
+    clone = Engine.load(str(tmp_path / "state.bin"))
+    assert {rid: (clone.explain(rid), clone.request_status(rid))
+            for rid in clone.request_ids()} == before
+    assert clone.explain("req-999999") is None
+
+
+def test_decoding_a_loaded_journal_leaves_the_saved_bytes_unchanged(tmp_path, reference_engine):
+    first = _saved(_decide_three(reference_engine), tmp_path / "first.bin")
+    clone = Engine.load(str(tmp_path / "first.bin"))
+    for rid in clone.request_ids():
+        clone.explain(rid)
+    assert _saved(clone, tmp_path / "second.bin") == first
+
+
+def test_a_fresh_engine_saves_the_same_bytes_twice(tmp_path, reference_engine):
+    engine = reference_engine
+    assert _saved(engine, tmp_path / "a.bin") == _saved(engine, tmp_path / "b.bin")
+    _decide_three(engine)
+    assert _saved(engine, tmp_path / "c.bin") == _saved(engine, tmp_path / "d.bin")
+
+
+def test_load_refuses_version_1_state_files(tmp_path, reference_engine):
+    # Version 1 framed each section as a length and a JSON {"kind", "data"}
+    # object, and kept the decision history inside the meta section.
+    path = str(tmp_path / "v1.bin")
+    body = json.dumps({"kind": "meta", "data": {"engine_version": 1, "decisions": {}}}).encode()
+    with open(path, "wb") as fh:
+        fh.write(STORE_MAGIC + struct.pack(">I", 1) + struct.pack(">I", len(body)) + body)
+    with pytest.raises(StoreError, match="version 1 "):
+        Engine.load(path)
+
+    reference_engine.save(path)
+    sections = read_store(path)
+    dict(sections)["meta"]["engine_version"] = 1
+    write_store(path, sections)
+    with pytest.raises(StoreError, match="engine version 1 "):
+        Engine.load(path)
+
+
+def test_load_refuses_a_journal_without_one_line_per_decided_request(tmp_path, reference_engine):
+    path = str(tmp_path / "state.bin")
+    _decide_three(reference_engine).save(path)
+    sections = read_store(path)
+    journal = dict(sections)["decisions"]
+    lines = journal.split(b"\n")[:-1]
+    assert len(lines) == 3
+    for bad in (b"", b"\n".join(lines[:2]) + b"\n", journal + lines[0] + b"\n",
+                b"\n" + journal[:-1]):
+        write_store(path, _with_section(sections, "decisions", bad))
+        with pytest.raises(StoreError, match="journal"):
+            Engine.load(path)
+    write_store(path, _with_section(sections, "decisions", {}))
+    with pytest.raises(StoreError, match="journal"):
+        Engine.load(path)
+
+
+def test_a_journal_line_that_does_not_decode_fails_when_first_read(tmp_path, reference_engine):
+    engine = _decide_three(reference_engine)
+    queued = engine.submit(store_app_doc("queued"))
+    path = str(tmp_path / "state.bin")
+    engine.save(path)
+    sections = read_store(path)
+    lines = dict(sections)["decisions"].split(b"\n")[:-1]
+    for bad in (b"{not json", b'{"request_id": "req-000001"}', b"[]", lines[1]):
+        journal = b"\n".join([bad] + lines[1:]) + b"\n"
+        write_store(path, _with_section(sections, "decisions", journal))
+        clone = Engine.load(path)  # the framing holds, so load reads no record
+        assert clone.request_status(queued) == {"request_id": queued, "state": "queued"}
+        with pytest.raises(StoreError, match="journal"):
+            clone.explain("req-000001")
+        with pytest.raises(StoreError, match="journal"):
+            clone.request_status("req-000001")
+
+
+def test_threads_reading_a_loaded_journal_see_every_record(tmp_path, reference_engine):
+    engine = _decide_three(reference_engine)
+    rids = engine.request_ids()
+    expected = [engine.explain(rid) for rid in rids]
+    engine.save(str(tmp_path / "state.bin"))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            clone = Engine.load(str(tmp_path / "state.bin"))
+            seen = []
+            threads = [
+                threading.Thread(target=lambda: seen.append([clone.explain(r) for r in rids]))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [expected] * len(threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+# -- a raising call leaves no trace ----------------------------------------------------
+
+FRACTIONAL = [{"location": {"region": "metro-a"}}]
+CALLS = {
+    "store": ("submit", store_app_doc("store")),
+    "camera": ("submit", camera_app_doc(svs=True)),
+    "named": ("submit", {"id": "req-000003", "component": {"name": "named"}}),
+    "invalid": ("submit", {"component": {}}),
+    "ghost-endpoint": ("submit", {"component": {"name": "x"},
+                                  "requirements": [{"network": {"endpoint": "ghost-cam"}}]}),
+    "big": ("submit", {"component": {"name": "big"},
+                       "requirements": [{"compute": {"vcpus": 0.7}}] + FRACTIONAL}),
+    "small": ("submit", {"component": {"name": "small"},
+                         "requirements": [{"compute": {"vcpus": 0.1}}] + FRACTIONAL}),
+    "process": ("process_pending",),
+    "advance": ("advance", 10),
+    "advance-zero": ("advance", 0),
+    "advance-negative": ("advance", -5),
+    "wan-down": ("set_link_state", "wan", False),
+    "wan-up": ("set_link_state", "wan", True),
+    "ghost-link": ("set_link_state", "ghost", False),
+    "evict-cloudlet": ("evict_node", "cloudlet-a"),
+    "ghost-node": ("evict_node", "ghost"),
+}
+
+
+def _raising_calls_leave_no_trace(names, tmpdir) -> list:
+    """Makes the named CALLS in order; every call that raises must leave the
+    saved bytes as they were. Returns the names of those that raised."""
+    engine = Engine(load_topology(reference_topology_doc()), config=EngineConfig())
+    raised = []
+    for name in names:
+        method, *args = CALLS[name]
+        before = _saved(engine, os.path.join(tmpdir, "before.bin"))
+        try:
+            getattr(engine, method)(*copy.deepcopy(args))
+        except Exception:
+            raised.append(name)
+            assert _saved(engine, os.path.join(tmpdir, "after.bin")) == before, name
+    return raised
+
+
+def test_each_refused_call_leaves_the_saved_bytes_unchanged(tmp_path):
+    names = [
+        "invalid",
+        "named", "named",  # duplicate id
+        "store", "store",  # req-000001, req-000002
+        "store",  # req-000003 is taken, so req-000004
+        "advance-zero", "advance-negative", "ghost-link", "ghost-node",
+        "big", "small", "process",
+        "evict-cloudlet",  # float vCPUs: 0.7 + 0.1 - 0.7 - 0.1 < 0
+    ]
+    assert _raising_calls_leave_no_trace(names, str(tmp_path)) == [
+        "invalid", "named", "advance-zero", "advance-negative", "ghost-link", "ghost-node",
+        "evict-cloudlet",
+    ]
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(st.lists(st.sampled_from(sorted(CALLS)), max_size=20))
+def test_any_raising_call_leaves_the_saved_bytes_unchanged(names):
+    with tempfile.TemporaryDirectory() as tmpdir:
+        _raising_calls_leave_no_trace(names, tmpdir)

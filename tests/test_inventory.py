@@ -292,6 +292,26 @@ def test_restore_rejects_version_mismatch(tmp_path):
         read_store(path)
 
 
+def test_store_carries_raw_sections_as_bytes(tmp_path):
+    path, again = tmp_path / "a.bin", tmp_path / "b.bin"
+    sections = [("meta", {"n": 1}), ("lines", b'{"x": 1}\n\xff'), ("empty", bytearray())]
+    write_store(str(path), sections)
+    read = read_store(str(path))
+    assert read == [("meta", {"n": 1}), ("lines", b'{"x": 1}\n\xff'), ("empty", b"")]
+    write_store(str(again), read)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_store_rejects_a_json_section_that_does_not_decode(tmp_path):
+    path = tmp_path / "state.bin"
+    write_store(str(path), [("meta", {"n": 1})])
+    blob = bytearray(path.read_bytes())
+    blob[-2] = 0xFF  # inside the JSON body
+    path.write_bytes(blob)
+    with pytest.raises(StoreError, match="corrupt"):
+        read_store(str(path))
+
+
 # -- conservation under random operation sequences ------------------------------------
 
 
