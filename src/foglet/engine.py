@@ -1,5 +1,6 @@
 """Composition root: one engine instance owns the topology, inventory, flow
-simulator, FCFS request queue, virtual clock, and decision history.
+simulator, FCFS request queue, and decision history. The virtual clock is
+the flow simulator's; the engine reads it and saves it.
 
 Everything is driven by explicit calls (submit, process_pending, advance,
 set_link_state), so a scenario is fully deterministic: no wall-clock time,
@@ -37,7 +38,7 @@ from .negotiator import Accepted, Rejected
 from .scheduler import PendingFlow
 from .topology import Topology, topology_to_document, topology_from_snapshot
 
-ENGINE_STORE_VERSION = 2
+ENGINE_STORE_VERSION = 3
 DECIDED = frozenset({"placed", "rejected"})  # the statuses that have a record
 
 audit_log = logging.getLogger("foglet.audit")
@@ -99,7 +100,6 @@ class Engine:
             residuals_fn=self._link_residuals,
         )
 
-        self.clock_s = Fraction(0)
         self._queue: List[DeploymentRequest] = []
         self._statuses: Dict[str, str] = {}
         self._decisions: Dict[str, DecisionRecord] = {}
@@ -114,6 +114,10 @@ class Engine:
         self._pending_flows: List[PendingFlow] = []
         self._next_request = 1
         self._next_flow = 1
+
+    @property
+    def clock_s(self) -> Fraction:
+        return self.flowsim.clock_s
 
     # -- identifiers (sequential: replays must produce identical ids) -----------
 
@@ -173,8 +177,10 @@ class Engine:
             self.inventory.snapshot(),
             self.topo,
             self.config,
-            pending_flows=tuple(self._pending_flows),
-            placements_by_component=dict(self._placements_by_component),
+            # Passed as they are: negotiation only reads them, and _deploy
+            # replaces the pending list rather than changing it.
+            pending_flows=self._pending_flows,
+            placements_by_component=self._placements_by_component,
             allocate_flow_id=self._allocate_flow_id,
         )
 
@@ -246,7 +252,6 @@ class Engine:
         if dt <= 0:
             raise EngineError("advance requires dt > 0")
         with self._lock:
-            self.clock_s += dt
             self.flowsim.advance(dt)
 
     def set_link_state(self, link_id: str, up: bool) -> None:
@@ -324,18 +329,18 @@ class Engine:
         return record
 
     def placements(self) -> List[dict]:
+        """The running placements; an evicted one is gone from the inventory."""
         with self._lock:
-            view = self.inventory.snapshot()
             return [
                 {
                     "request_id": p.request_id,
                     "tenant": p.tenant,
                     "component": p.component,
                     "node_id": p.node_id,
-                    "state": p.state.value,
+                    "state": "running",
                     "allocated": p.allocated.to_dict(),
                 }
-                for p in sorted(view.placements.values(), key=lambda p: p.request_id)
+                for p in self.inventory.placements()
             ]
 
     def nodes(self) -> List[dict]:
@@ -343,14 +348,13 @@ class Engine:
             view = self.inventory.snapshot()
             out = []
             for node in sorted(self.topo.nodes.values(), key=lambda n: n.id):
-                state = view.nodes[node.id]
                 out.append({
                     "id": node.id,
                     "tier": node.tier.value,
                     "region": node.region,
                     "labels": sorted(node.labels),
-                    "capacity": state.capacity.to_dict(),
-                    "allocated": state.allocated.to_dict(),
+                    "capacity": node.capacity.to_dict(),
+                    "allocated": view.nodes[node.id].allocated.to_dict(),
                 })
             return out
 
@@ -424,7 +428,7 @@ class Engine:
         engine = cls(topo, config=config)
         engine.inventory.load_state_document(records["inventory"])
         engine.flowsim.load_state_document(records["flowsim"])
-        engine.clock_s = Fraction(meta["clock_s"])
+        engine.flowsim.clock_s = Fraction(meta["clock_s"])
         engine._next_request = int(meta["next_request"])
         engine._next_flow = int(meta["next_flow"])
         engine._statuses = dict(meta["statuses"])

@@ -135,7 +135,12 @@ class MetricsReport:
 
 
 class FlowSimulator:
-    """Owns all flows and node caches; driven by advance() and link changes.
+    """Owns all flows, node caches and the virtual clock; driven by advance()
+    and link changes.
+
+    Cache sizes are the topology's `cache_mib`. The clock is not in
+    `state_document()`: the engine saves it with its own counters and sets
+    `clock_s` back on load.
 
     Cache occupancy is a running total: `_occupied[n]` equals the sum of
     `buffered_mbit` over the flows whose `cache_node` is `n`, exactly, and is
@@ -157,13 +162,7 @@ class FlowSimulator:
         }
         # node -> megabits parked there
         self._occupied: Dict[str, Fraction] = {}
-        self._clock_s = Fraction(0)
-
-    def set_cache(self, node_id: str, capacity_mib: int) -> None:
-        if capacity_mib > 0:
-            self.caches[node_id] = capacity_mib * MBIT_PER_MIB
-        else:
-            self.caches.pop(node_id, None)
+        self.clock_s = Fraction(0)
 
     def _park(self, node_id: str, mbit: Fraction) -> None:
         self._occupied[node_id] = self._occupied.get(node_id, Fraction(0)) + mbit
@@ -321,7 +320,7 @@ class FlowSimulator:
                 flow.buffered_peak_mbit = max(flow.buffered_peak_mbit, flow.buffered_mbit)
             else:  # STALLED
                 flow.lost_mbit += produced
-        self._clock_s += dt_s
+        self.clock_s += dt_s
 
     # -- reporting -------------------------------------------------------------------
 
@@ -376,7 +375,7 @@ class FlowSimulator:
             for node_id in self.caches
         }
         return MetricsReport(
-            horizon_s=self._clock_s, links=links, flows=flows, caches=caches
+            horizon_s=self.clock_s, links=links, flows=flows, caches=caches
         )
 
     @staticmethod
@@ -387,10 +386,6 @@ class FlowSimulator:
 
     def state_document(self) -> dict:
         return {
-            "clock_s": str(self._clock_s),
-            "caches": {
-                nid: str(capacity) for nid, capacity in sorted(self.caches.items())
-            },
             "flows": {
                 fid: {
                     "source": vars(f.source),
@@ -413,8 +408,6 @@ class FlowSimulator:
         }
 
     def load_state_document(self, doc: Mapping) -> None:
-        self._clock_s = Fraction(doc["clock_s"])
-        self.caches = {nid: Fraction(cap) for nid, cap in doc["caches"].items()}
         self.flows = {}
         for fid, fd in doc["flows"].items():
             self.flows[fid] = Flow(

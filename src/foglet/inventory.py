@@ -1,12 +1,16 @@
 """Authoritative resource state: node allocations, link bandwidth bookings,
-placements, and a durable snapshot file.
+running placements, and a durable snapshot file.
+
+Capacities belong to the topology: the inventory takes them from it and
+saves only what it allocates and books.
 
 Writes take the single writer lock, and the three that change placements
 are all-or-nothing: each checks everything first and raises without
 changing anything, or applies all of its changes. `place` records a
 placement, its node footprint and its bandwidth bookings in one step;
 `release_placement_bandwidth` returns one booking early;
-`evict_placements_on` frees a node. Reads take immutable snapshots.
+`evict_placements_on` frees a node and deletes its placements. Reads take
+immutable snapshots.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .model import Placement, PlacementState, ResourceVector, ZERO_RESOURCES
+from .model import Placement, ResourceVector, ZERO_RESOURCES
 from .topology import Topology
 
 STORE_MAGIC = b"FGST"
@@ -92,7 +96,6 @@ class InventoryView:
 
     nodes: Mapping[str, NodeState]
     links: Mapping[str, LinkState]
-    placements: Mapping[str, Placement]
     down_links: FrozenSet[str] = frozenset()  # links down when the view was taken
 
     def residuals(self) -> Mapping[str, Fraction]:
@@ -137,11 +140,15 @@ class Inventory:
             return InventoryView(
                 nodes=dict(self._nodes),
                 links=dict(self._links),
-                placements=dict(self._placements),
                 down_links=frozenset(
                     lid for lid, link in self._topo.links.items() if not link.up
                 ),
             )
+
+    def placements(self) -> List[Placement]:
+        """The running placements, by request id."""
+        with self._lock:
+            return sorted(self._placements.values(), key=lambda p: p.request_id)
 
     # -- writes ------------------------------------------------------------------
 
@@ -150,7 +157,8 @@ class Inventory:
         record both, or raise and change nothing.
 
         Raises InsufficientResources naming the node or link that fell short,
-        and InventoryError for an unknown node or link or a request placed before.
+        and InventoryError for an unknown node or link or a request that already
+        has a running placement.
         """
         with self._lock:
             if placement.request_id in self._placements:
@@ -217,10 +225,7 @@ class Inventory:
             node = self._nodes.get(node_id)
             if node is None:
                 raise InventoryError(f"unknown node {node_id!r}")
-            victims = [
-                p for p in self._placements.values()
-                if p.node_id == node_id and p.state is PlacementState.RUNNING
-            ]
+            victims = [p for p in self._placements.values() if p.node_id == node_id]
             # Work out the new allocation first: a subtraction that raises
             # then leaves the inventory as it was.
             allocated = node.allocated
@@ -233,20 +238,20 @@ class Inventory:
             self._nodes[node_id] = replace(node, allocated=allocated)
             self._book(per_link, -1)
             for placement in victims:
-                self._placements[placement.request_id] = placement.evicted()
+                del self._placements[placement.request_id]
                 del self._reservations[placement.request_id]
             return [p.request_id for p in victims]
 
     # -- persistence -----------------------------------------------------------
 
     def state_document(self) -> dict:
+        """Allocations, bookings and running placements. Each link also shows
+        the topology's capacity and up state for readers; loading reads back
+        only what the inventory owns."""
         with self._lock:
             return {
                 "nodes": {
-                    nid: {
-                        "capacity": ns.capacity.to_dict(),
-                        "allocated": ns.allocated.to_dict(),
-                    }
+                    nid: {"allocated": ns.allocated.to_dict()}
                     for nid, ns in sorted(self._nodes.items())
                 },
                 "links": {
@@ -272,7 +277,6 @@ class Inventory:
                         "component": p.component,
                         "node_id": p.node_id,
                         "allocated": p.allocated.to_dict(),
-                        "state": p.state.value,
                     }
                     for req_id, p in sorted(self._placements.items())
                 },
@@ -280,23 +284,17 @@ class Inventory:
             }
 
     def load_state_document(self, doc: Mapping) -> None:
-        """Also loads older documents: keys no longer written are ignored."""
+        """Load allocations and bookings onto the topology's nodes and links.
+        Also loads older documents: keys no longer read are ignored."""
+        nodes, links = doc["nodes"], doc["links"]
         with self._lock:
             self._nodes = {
-                nid: NodeState(
-                    node_id=nid,
-                    capacity=ResourceVector.from_dict(nd["capacity"]),
-                    allocated=ResourceVector.from_dict(nd["allocated"]),
-                )
-                for nid, nd in doc["nodes"].items()
+                nid: replace(ns, allocated=ResourceVector.from_dict(nodes[nid]["allocated"]))
+                for nid, ns in self._nodes.items()
             }
             self._links = {
-                lid: LinkState(
-                    link_id=lid,
-                    capacity_mbps=Fraction(ld["capacity_mbps"]),
-                    reserved_mbps=Fraction(ld["reserved_mbps"]),
-                )
-                for lid, ld in doc["links"].items()
+                lid: replace(ls, reserved_mbps=Fraction(links[lid]["reserved_mbps"]))
+                for lid, ls in self._links.items()
             }
             self._reservations = {
                 rd["request_id"]: Reservation(
@@ -316,7 +314,6 @@ class Inventory:
                     component=pd["component"],
                     node_id=pd["node_id"],
                     allocated=ResourceVector.from_dict(pd["allocated"]),
-                    state=PlacementState(pd["state"]),
                 )
                 for req_id, pd in doc["placements"].items()
             }

@@ -7,7 +7,7 @@ across threads without coordination.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -274,24 +274,15 @@ class DeploymentRequest:
         )
 
 
-class PlacementState(enum.Enum):
-    RUNNING = "running"
-    EVICTED = "evicted"
-
-
 @dataclass(frozen=True)
 class Placement:
-    """A committed binding of a component to a node."""
+    """A running binding of a component to a node."""
 
     request_id: str
     tenant: str
     component: str
     node_id: str
     allocated: ResourceVector
-    state: PlacementState = PlacementState.RUNNING
-
-    def evicted(self) -> "Placement":
-        return replace(self, state=PlacementState.EVICTED)
 
 
 class ValidationError(Exception):

@@ -65,12 +65,7 @@ def negotiate(
     verdicts = tuple(scheduler.feasible_nodes(request, view, topo, config))
     passing = [v for v in verdicts if v.passed]
     if not passing:
-        reasons = []
-        for v in verdicts:
-            failed = v.failures()
-            detail = "; ".join(f"{c.name}: {c.detail}" for c in failed)
-            reasons.append((v.node_id, failed[0].name, detail))
-        return Rejected(reasons=tuple(reasons), verdicts=verdicts)
+        return Rejected(reasons=tuple(_failure_reason(v) for v in verdicts), verdicts=verdicts)
 
     scores = tuple(
         scheduler.priority(v.node_id, request, view, topo, config, v.path_metrics)
@@ -112,9 +107,12 @@ def _reasons_after_choice(
                 f"feasible but outranked by {chosen}; requests deploy on the single chosen node",
             ))
         else:
-            failed = v.failures()
-            reasons.append((
-                v.node_id, failed[0].name,
-                "; ".join(f"{c.name}: {c.detail}" for c in failed),
-            ))
+            reasons.append(_failure_reason(v))
     return tuple(reasons)
+
+
+def _failure_reason(verdict: FilterVerdict) -> Tuple[str, str, str]:
+    """A failed node's reason: its first failed check and every failure's detail."""
+    failed = verdict.failures()
+    detail = "; ".join(f"{c.name}: {c.detail}" for c in failed)
+    return (verdict.node_id, failed[0].name, detail)

@@ -18,6 +18,7 @@ from .documents import (
     AdvanceStep,
     AssertMetricStep,
     AssertPlacementStep,
+    DocumentError,
     LinkStateStep,
     ReportStep,
     ScenarioScript,
@@ -65,12 +66,19 @@ class ScenarioResult:
 
 
 def build_engine(script: ScenarioScript) -> Engine:
-    topo = load_topology(script.topology)
+    """An engine on the script's topology, with `caches_mib` written into a
+    copy of the topology document. Raises DocumentError when `caches_mib`
+    names a node the topology lacks."""
+    caches = dict(script.caches_mib)
+    nodes = []
+    for nd in script.topology.get("nodes", []) or []:
+        mib = caches.pop(str(nd.get("id")), None)
+        nodes.append(nd if mib is None else {**nd, "cache_mib": mib})
+    if caches:
+        raise DocumentError(f"caches_mib names nodes the topology lacks: {sorted(caches)}")
+    topo = load_topology({**script.topology, "nodes": nodes})
     config = config_from_document(script.config, EngineConfig())
-    engine = Engine(topo, config=config)
-    for node_id, mib in script.caches_mib.items():
-        engine.flowsim.set_cache(node_id, mib)
-    return engine
+    return Engine(topo, config=config)
 
 
 _FLOW_PAIR = re.compile(r"^(?P<src>[^.]+)->(?P<dst>[^.]+)$")

@@ -395,22 +395,34 @@ def plan_flows(
         except Unreachable:
             raise FlowAdmissionError(node_id, f"{label}: no up path between {a} and {b}")
 
-    def clamp_best_effort(path: Path, rate: Fraction, label: str) -> Fraction:
-        if not path or rate == 0:
-            return Fraction(0)
-        bottleneck = min(residuals[lid] for lid in path)
-        if bottleneck <= 0:
-            raise FlowAdmissionError(
-                node_id, f"{label}: path bandwidth exhausted (needs {float(rate):g} Mbit/s)"
-            )
-        return min(rate, bottleneck)
-
     def ends_for(spec: FlowSpec, owner_end: FlowEnd, peer_end: FlowEnd):
         return (peer_end, owner_end) if spec.inbound else (owner_end, peer_end)
 
     def oriented(path: Path, spec: FlowSpec) -> Path:
         # Paths are computed owner-to-peer; flow paths run source-to-sink.
         return tuple(reversed(path)) if spec.inbound else path
+
+    def best_effort(spec: FlowSpec, owner_end: FlowEnd, peer_end: FlowEnd, label: str) -> None:
+        """Route owner-to-peer, book what the path has left up to the rate,
+        and plan the flow; only an exhausted path rejects."""
+        path = route(owner_end.node, peer_end.node, label)
+        if path and spec.rate_mbps:
+            bottleneck = min(residuals[lid] for lid in path)
+            if bottleneck <= 0:
+                raise FlowAdmissionError(
+                    node_id,
+                    f"{label}: path bandwidth exhausted (needs {float(spec.rate_mbps):g} Mbit/s)",
+                )
+            booked = min(spec.rate_mbps, bottleneck)
+            book(path, booked)
+        else:
+            booked = Fraction(0)
+        source, sink = ends_for(spec, owner_end, peer_end)
+        planned.append(PlannedFlow(
+            flow_id=allocate_flow_id(), source=source, sink=sink,
+            rate_mbps=spec.rate_mbps, path=oriented(path, spec), booked_mbps=booked,
+            booking_owner=request.id,
+        ))
 
     here = FlowEnd(kind="placement", id=request.id, node=node_id,
                    component=request.component.name)
@@ -452,19 +464,8 @@ def plan_flows(
         if spec.peer_kind is FlowPeer.ENDPOINT:
             if spec.peer in covered_endpoints:
                 continue
-            attach = topo.endpoint_node(spec.peer)
-            label = f"flow to endpoint {spec.peer}"
-            path = route(node_id, attach, label)
-            booked = clamp_best_effort(path, spec.rate_mbps, label)
-            if path and booked > 0:
-                book(path, booked)
-            peer = FlowEnd(kind="endpoint", id=spec.peer, node=attach)
-            source, sink = ends_for(spec, here, peer)
-            planned.append(PlannedFlow(
-                flow_id=allocate_flow_id(), source=source, sink=sink,
-                rate_mbps=spec.rate_mbps, path=oriented(path, spec), booked_mbps=booked,
-                booking_owner=request.id,
-            ))
+            peer = FlowEnd(kind="endpoint", id=spec.peer, node=topo.endpoint_node(spec.peer))
+            best_effort(spec, here, peer, f"flow to endpoint {spec.peer}")
         else:
             key = (request.tenant, spec.peer)
             target = placements_by_component.get(key)
@@ -478,38 +479,17 @@ def plan_flows(
                 ))
                 continue
             peer_request, peer_node = target
-            label = f"flow to component {spec.peer}"
-            path = route(node_id, peer_node, label)
-            booked = clamp_best_effort(path, spec.rate_mbps, label)
-            if path and booked > 0:
-                book(path, booked)
             peer = FlowEnd(kind="placement", id=peer_request, node=peer_node,
                            component=spec.peer)
-            source, sink = ends_for(spec, here, peer)
-            planned.append(PlannedFlow(
-                flow_id=allocate_flow_id(), source=source, sink=sink,
-                rate_mbps=spec.rate_mbps, path=oriented(path, spec), booked_mbps=booked,
-                booking_owner=request.id,
-            ))
+            best_effort(spec, here, peer, f"flow to component {spec.peer}")
 
     for waiting in pending:
         if waiting.tenant != request.tenant:
             continue
         if waiting.spec.peer != request.component.name:
             continue
-        label = f"deferred flow from {waiting.owner_component}"
-        path = route(waiting.owner_node, node_id, label)
-        booked = clamp_best_effort(path, waiting.spec.rate_mbps, label)
-        if path and booked > 0:
-            book(path, booked)
         owner_end = FlowEnd(kind="placement", id=waiting.owner_request,
                             node=waiting.owner_node, component=waiting.owner_component)
-        source, sink = ends_for(waiting.spec, owner_end, here)
-        planned.append(PlannedFlow(
-            flow_id=allocate_flow_id(), source=source, sink=sink,
-            rate_mbps=waiting.spec.rate_mbps, path=oriented(path, waiting.spec),
-            booked_mbps=booked,
-            booking_owner=request.id,
-        ))
+        best_effort(waiting.spec, owner_end, here, f"deferred flow from {waiting.owner_component}")
 
     return planned, deferred

@@ -437,13 +437,6 @@ def test_criterion_6_inventory_conservation_10k_ops():
     booked = []  # (request id, booking) pairs still held
     ops = places = evictions = returns = 0
 
-    def state():
-        # Everything state_document() renders, compared without rendering the
-        # evicted placements, which pile up over the run, on every place.
-        view = inv.snapshot()
-        return (view.nodes, view.links, view.placements, view.down_links,
-                dict(inv._reservations), inv._next_reservation)
-
     def check():
         view = inv.snapshot()
         for state in view.nodes.values():
@@ -465,7 +458,7 @@ def test_criterion_6_inventory_conservation_10k_ops():
                     path=tuple(rng.sample(link_ids, rng.randint(1, len(link_ids)))),
                     mbps=Fraction(rng.randint(1, 30), 10),
                 ))
-            before = state()
+            before = inv.state_document()
             try:
                 inv.place(Placement(
                     request_id=f"r{ops}", tenant="t", component=f"c{ops}",
@@ -474,7 +467,7 @@ def test_criterion_6_inventory_conservation_10k_ops():
                 booked.extend((f"r{ops}", b) for b in bookings)
                 places += 1
             except InsufficientResources:
-                assert state() == before, "failed place mutated state"
+                assert inv.state_document() == before, "failed place mutated state"
         elif op == "evict":
             gone = set(inv.evict_placements_on(rng.choice(node_ids)))
             booked = [(r, b) for r, b in booked if r not in gone]

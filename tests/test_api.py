@@ -11,16 +11,27 @@ from foglet.topology import load_topology
 from tests.conftest import camera_app_doc, reference_topology_doc, store_app_doc
 
 
-@pytest.fixture
-def server():
-    engine = Engine(load_topology(reference_topology_doc()))
-    srv = ApiServer(engine, ("127.0.0.1", 0))
+def serve(topo_doc):
+    srv = ApiServer(Engine(load_topology(topo_doc)), ("127.0.0.1", 0))
     import threading
 
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
+
+
+@pytest.fixture
+def server():
+    yield from serve(reference_topology_doc())
+
+
+@pytest.fixture
+def cached_server():
+    """The reference topology with a 1 GiB cache on cloudlet-a."""
+    doc = reference_topology_doc()
+    doc["nodes"][1]["cache_mib"] = 1024
+    yield from serve(doc)
 
 
 def call(server, method, path, body=None, expect_error=None, raw=None):
@@ -114,8 +125,8 @@ def test_link_utilization_unknown_link_404(server):
     assert status == 404
 
 
-def test_fault_event_propagates_to_flows(server):
-    server.engine.flowsim.set_cache("cloudlet-a", 1024)
+def test_fault_event_propagates_to_flows(cached_server):
+    server = cached_server
     _, r1 = call(server, "POST", "/v1/requests", {
         "component": {"name": "anonymizer", "flows": [
             {"to_component": "analyzer", "rate_mbps": 0.5},

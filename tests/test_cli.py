@@ -53,6 +53,18 @@ def test_run_failing_assert_exits_3(tmp_path):
     assert "ASSERTION FAILED" in result.stderr
 
 
+def test_run_with_a_cache_on_an_unknown_node_exits_1(tmp_path):
+    with open(os.path.join(SCENARIO_DIR, "usecase_c.yaml")) as fh:
+        script = yaml.safe_load(fh)
+    script["topology"] = TOPOLOGY_PATH
+    script["caches_mib"]["no-such-node"] = 64
+    path = tmp_path / "ghost_cache.yaml"
+    path.write_text(yaml.safe_dump(script))
+    result = run_cli("run", str(path))
+    assert result.returncode == 1
+    assert "caches_mib names nodes the topology lacks: ['no-such-node']" in result.stderr
+
+
 def test_run_csv_time_series(tmp_path):
     out = tmp_path / "series.csv"
     result = run_cli("run", os.path.join(SCENARIO_DIR, "usecase_c.yaml"), "--csv", str(out))

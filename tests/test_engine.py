@@ -171,9 +171,10 @@ def test_advance_requires_positive_dt(reference_engine):
         reference_engine.advance(0)
 
 
-def test_save_load_round_trip_mid_fault(tmp_path, reference_engine):
-    engine = reference_engine
-    engine.flowsim.set_cache("cloudlet-a", 1024)
+def test_save_load_round_trip_mid_fault(tmp_path):
+    doc = reference_topology_doc()
+    doc["nodes"][1]["cache_mib"] = 1024
+    engine = Engine(load_topology(doc))
     engine.submit({
         "component": {"name": "anonymizer", "flows": [
             {"from_endpoint": "camera-1", "rate_mbps": 4.0},
@@ -348,6 +349,74 @@ def test_load_refuses_version_1_state_files(tmp_path, reference_engine):
     write_store(path, sections)
     with pytest.raises(StoreError, match="engine version 1 "):
         Engine.load(path)
+
+
+def test_load_refuses_version_2_state_files(tmp_path, reference_engine):
+    # Version 2 kept scenario caches only in its flowsim section, next to a
+    # second copy of the clock; loading it now would lose the caches.
+    path = str(tmp_path / "v2.bin")
+    reference_engine.save(path)
+    sections = read_store(path)
+    meta, flowsim = dict(sections)["meta"], dict(sections)["flowsim"]
+    meta["engine_version"] = 2
+    flowsim.update(clock_s=meta["clock_s"], caches={"cloudlet-a": "134217728/15625"})
+    write_store(path, sections)
+    with pytest.raises(StoreError, match="engine version 2 "):
+        Engine.load(path)
+
+
+def _keys(doc):
+    """Every mapping key anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _keys(value)
+
+
+def test_a_usecase_c_checkpoint_holds_each_fact_once(tmp_path):
+    script = load_scenario(os.path.join(SCENARIO_DIR, "usecase_c.yaml"))
+    engine = build_engine(script)
+    assert run_scenario(script, engine).ok
+    path = str(tmp_path / "c.bin")
+    engine.save(path)
+    sections = dict(read_store(path))
+    (cloudlet,) = [n for n in sections["topology"]["nodes"] if n["id"] == "cloudlet-a"]
+    assert cloudlet["cache_mib"] == 1024
+    assert set(sections["flowsim"]) == {"flows"}
+    keys = {name: set(_keys(doc)) for name, doc in sections.items() if name != "decisions"}
+    assert [name for name, found in keys.items() if "clock_s" in found] == ["meta"]
+    for name in ("meta", "inventory", "flowsim"):
+        assert not keys[name] & {"capacity", "bandwidth_mbps", "cache_mib", "caches"}, name
+
+    # Each inventory link shows its capacity for readers; a load never reads it back.
+    for link in sections["inventory"]["links"].values():
+        link["capacity_mbps"] = "1"
+    write_store(path, list(sections.items()))
+    clone = Engine.load(path)
+    assert clone.inventory.snapshot().links == engine.inventory.snapshot().links
+    assert clone.nodes() == engine.nodes()
+    assert clone.flowsim.caches == engine.flowsim.caches
+    assert clone.clock_s == engine.clock_s == clone.report().horizon_s
+
+
+def test_an_evicted_request_leaves_no_placement_behind(tmp_path, reference_engine):
+    engine = reference_engine
+    engine.submit(camera_app_doc(svs=True))
+    engine.submit(store_app_doc())
+    engine.process_pending()
+    assert engine.evict_node("cloudlet-a") == ["req-000001"]
+    assert [p["request_id"] for p in engine.placements()] == ["req-000002"]
+    path = str(tmp_path / "evicted.bin")
+    engine.save(path)
+    sections = dict(read_store(path))
+    meta = sections["meta"]
+    # Only the request's status and its decision record still name it.
+    assert meta.pop("statuses")["req-000001"] == "placed"
+    for name in ("meta", "topology", "inventory", "flowsim"):
+        assert "req-000001" not in json.dumps(sections[name]), name
 
 
 def test_load_refuses_a_journal_without_one_line_per_decided_request(tmp_path, reference_engine):

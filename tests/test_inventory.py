@@ -56,7 +56,6 @@ def test_snapshot_immune_to_later_writes(inv):
     before = inv.snapshot()
     inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
     assert before.nodes["cloudlet-a"].allocated.is_zero()
-    assert "r1" not in before.placements
 
 
 def test_commit_conserves_quantities(inv):
@@ -66,7 +65,7 @@ def test_commit_conserves_quantities(inv):
     assert view.nodes["cloudlet-a"].allocated == ResourceVector(2, 2048, 10)
     assert view.links["wan"].reserved_mbps == Fraction(3, 2)
     assert view.links["lan-a"].reserved_mbps == Fraction(3, 2)
-    assert view.placements["r1"].node_id == "cloudlet-a"
+    assert [(p.request_id, p.node_id) for p in inv.placements()] == [("r1", "cloudlet-a")]
     doc = inv.state_document()
     assert doc["reservations"] == {"rsv-000001": {
         "request_id": "r1", "network": [{"path": ["wan", "lan-a"], "mbps": "3/2"}],
@@ -92,7 +91,7 @@ def test_zero_hold_succeeds(inv):
     inv.place(placement("r1", "gateway-a", ResourceVector()))
     view = inv.snapshot()
     assert view.nodes["gateway-a"].allocated.is_zero()
-    assert "r1" in view.placements
+    assert [p.request_id for p in inv.placements()] == ["r1"]
 
 
 def test_failed_hold_changes_nothing(inv):
@@ -180,21 +179,27 @@ def test_evict_frees_placement(inv):
     view = inv.snapshot()
     assert view.nodes["cloudlet-a"].allocated.is_zero()
     assert view.links["wan"].reserved_mbps == Fraction(1, 2)
-    assert view.placements["r1"].state.value == "evicted"
-    assert [r["request_id"] for r in inv.state_document()["reservations"].values()] == ["r2"]
+    assert [p.request_id for p in inv.placements()] == ["r2"]
+    doc = inv.state_document()
+    assert list(doc["placements"]) == ["r2"]
+    assert [r["request_id"] for r in doc["reservations"].values()] == ["r2"]
     assert inv.evict_placements_on("cloudlet-a") == []
 
 
 def test_double_commit_is_invalid(inv):
-    # A request is placed once; placing it again would count its footprint twice.
+    # A running request is placed once; placing it again would count its
+    # footprint twice. Eviction deletes the placement, so the request then
+    # holds nothing and placing it again counts its footprint once.
     inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)))
     before = inv.state_document()
     with pytest.raises(InventoryError, match="already placed"):
         inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)))
+    assert inv.state_document() == before
     inv.evict_placements_on("cloudlet-a")
-    with pytest.raises(InventoryError, match="already placed"):
-        inv.place(placement("r1", "cloud", ResourceVector(1, 0, 0)))
-    assert inv.state_document()["nodes"]["cloud"] == before["nodes"]["cloud"]
+    inv.place(placement("r1", "cloud", ResourceVector(1, 0, 0)))
+    nodes = inv.snapshot().nodes
+    assert nodes["cloud"].allocated == ResourceVector(1, 0, 0)
+    assert nodes["cloudlet-a"].allocated.is_zero()
 
 
 def test_release_restores_pre_hold_state(inv):
@@ -263,7 +268,7 @@ def test_persist_restore_after_mutations(tmp_path, inv):
     persist(inv, path)
     restored = restore(path)
     assert restored.state_document() == inv.state_document()
-    assert set(restored.snapshot().placements) == {"r1", "r2"}
+    assert [p.request_id for p in restored.placements()] == ["r1", "r2"]
 
 
 def test_restore_truncated_file_fails_cleanly(tmp_path, inv):

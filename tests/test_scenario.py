@@ -1,6 +1,6 @@
 import pytest
 
-from foglet.documents import parse_scenario
+from foglet.documents import DocumentError, parse_scenario
 from foglet.scenario import ScenarioError, build_engine, resolve_metric, run_scenario
 from tests.conftest import camera_app_doc, reference_topology_doc, store_app_doc
 
@@ -95,3 +95,13 @@ def test_bad_selectors_raise(selector):
     report = flow_report()
     with pytest.raises(ScenarioError):
         resolve_metric(report, selector)
+
+
+def test_caches_land_in_the_topology_and_unknown_nodes_are_refused():
+    script = make_script([], caches={"cloudlet-a": 64})
+    engine = build_engine(script)
+    assert engine.topo.nodes["cloudlet-a"].cache_mib == 64
+    assert "cache_mib" not in script.topology["nodes"][1]  # written into a copy
+    assert sorted(engine.report().caches) == ["cloudlet-a"]
+    with pytest.raises(DocumentError, match=r"lacks: \['no-such-node'\]"):
+        build_engine(make_script([], caches={"cloudlet-a": 64, "no-such-node": 64}))
