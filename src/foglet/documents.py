@@ -11,7 +11,7 @@ from typing import Mapping, Optional, Union
 
 import yaml
 
-from .model import mbps
+from .model import mbps, whole_number
 
 
 class DocumentError(Exception):
@@ -138,9 +138,12 @@ def parse_scenario(doc: Mapping, base_dir: str = ".") -> ScenarioScript:
     steps = tuple(
         _parse_step(s, i, base_dir) for i, s in enumerate(doc.get("steps", []) or [])
     )
-    caches = {
-        str(node): int(mib) for node, mib in (doc.get("caches_mib") or {}).items()
-    }
+    caches = {}
+    for node, mib in (doc.get("caches_mib") or {}).items():
+        try:
+            caches[str(node)] = whole_number(mib, f"caches_mib.{node}")
+        except ValueError as exc:
+            raise DocumentError(str(exc))
     return ScenarioScript(
         name=str(doc.get("name", "scenario")),
         topology=topo_doc,

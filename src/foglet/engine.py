@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from . import negotiator, scheduler
 from .config import EngineConfig
 from .flowsim import FlowSimulator, MetricsReport
-from .inventory import Inventory, write_store, read_store, StoreError
+from .inventory import Inventory, StoreError, exact_reader, read_store, write_store
 from .model import (
     DeploymentRequest,
     ReferenceError_,
@@ -36,10 +36,21 @@ from .model import (
 )
 from .negotiator import Accepted, Rejected
 from .scheduler import PendingFlow
-from .topology import Topology, topology_to_document, topology_from_snapshot
+from .topology import (
+    Topology,
+    TopologyError,
+    topology_from_snapshot,
+    topology_to_document,
+)
 
-ENGINE_STORE_VERSION = 3
+ENGINE_STORE_VERSION = 4
 DECIDED = frozenset({"placed", "rejected"})  # the statuses that have a record
+# What a well-framed state file with a missing or mistyped key raises while
+# it is read back; Engine.load reports each as a StoreError.
+_MALFORMED = (
+    KeyError, TypeError, ValueError, AttributeError, IndexError, ArithmeticError,
+    ValidationError, TopologyError,
+)
 
 audit_log = logging.getLogger("foglet.audit")
 
@@ -402,15 +413,24 @@ class Engine:
                 ("decisions", self._journal),
                 ("topology", topology_to_document(self.topo)),
                 ("inventory", self.inventory.state_document()),
-                ("flowsim", self.flowsim.state_document()),
+                ("flowsim", self.flowsim.state_lines()),
             ])
 
     @classmethod
     def load(cls, path: str, config: Optional[EngineConfig] = None) -> "Engine":
+        """Rebuild an engine from a state file. Raises StoreError for a file
+        that is corrupt, of another version, or lacks or mistypes any key."""
         records = dict(read_store(path))
         for kind in ("meta", "decisions", "topology", "inventory", "flowsim"):
             if kind not in records:
                 raise StoreError(f"state file is missing its {kind} section")
+        try:
+            return cls._from_sections(records, config)
+        except _MALFORMED as exc:
+            raise StoreError(f"malformed state file: {exc!r}") from exc
+
+    @classmethod
+    def _from_sections(cls, records: Mapping, config: Optional[EngineConfig]) -> "Engine":
         meta = records["meta"]
         version = meta.get("engine_version")
         if version != ENGINE_STORE_VERSION:
@@ -427,8 +447,8 @@ class Engine:
         topo = topology_from_snapshot(records["topology"])
         engine = cls(topo, config=config)
         engine.inventory.load_state_document(records["inventory"])
-        engine.flowsim.load_state_document(records["flowsim"])
-        engine.flowsim.clock_s = Fraction(meta["clock_s"])
+        engine.flowsim.load_state_lines(records["flowsim"])
+        engine.flowsim.clock_s = exact_reader()(meta["clock_s"])
         engine._next_request = int(meta["next_request"])
         engine._next_flow = int(meta["next_flow"])
         engine._statuses = dict(meta["statuses"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .model import Placement, ResourceVector, ZERO_RESOURCES
 from .topology import Topology
@@ -47,6 +47,26 @@ class InsufficientResources(InventoryError):
 
 class StoreError(InventoryError):
     """Corrupt, truncated, or version-mismatched state file."""
+
+
+def exact_reader() -> Callable[[object], Fraction]:
+    """A reader for the exact number strings of one load: each distinct
+    string is parsed once (`Fraction(str)` is slow), and anything that is
+    not such a string raises StoreError."""
+    seen: Dict[str, Fraction] = {}
+
+    def read(text) -> Fraction:
+        if type(text) is not str:
+            raise StoreError(f"not an exact number string: {text!r}")
+        value = seen.get(text)
+        if value is None:
+            try:
+                value = seen[text] = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise StoreError(f"not an exact number: {text!r}") from exc
+        return value
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -287,13 +307,14 @@ class Inventory:
         """Load allocations and bookings onto the topology's nodes and links.
         Also loads older documents: keys no longer read are ignored."""
         nodes, links = doc["nodes"], doc["links"]
+        read = exact_reader()
         with self._lock:
             self._nodes = {
                 nid: replace(ns, allocated=ResourceVector.from_dict(nodes[nid]["allocated"]))
                 for nid, ns in self._nodes.items()
             }
             self._links = {
-                lid: replace(ls, reserved_mbps=Fraction(links[lid]["reserved_mbps"]))
+                lid: replace(ls, reserved_mbps=read(links[lid]["reserved_mbps"]))
                 for lid, ls in self._links.items()
             }
             self._reservations = {
@@ -301,7 +322,7 @@ class Inventory:
                     id=rid,
                     request_id=rd["request_id"],
                     network=tuple(
-                        BandwidthBooking(path=tuple(b["path"]), mbps=Fraction(b["mbps"]))
+                        BandwidthBooking(path=tuple(b["path"]), mbps=read(b["mbps"]))
                         for b in rd["network"]
                     ),
                 )

@@ -27,6 +27,19 @@ def mbps(value) -> Fraction:
     return Fraction(value)
 
 
+def whole_number(value, what: str) -> int:
+    """A MiB or GiB count: a non-negative whole number, never a boolean. An
+    integral float such as 2.0 is taken as its integer; anything else raises
+    ValueError naming `what`, so nothing is rounded away."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} is not a whole number: {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} is negative: {value!r}")
+    return int(value)
+
+
 class Tier(enum.Enum):
     """Infrastructure tiers, ordered cloud-to-things.
 
@@ -353,17 +366,18 @@ def _parse_compute(doc: Mapping) -> ComputeRequirement:
         profile = _COMPUTE_PROFILE_ALIASES.get(profile_name)
         if profile is None:
             raise ValidationError("compute.profile", f"unknown profile {profile_name!r}")
-    for fieldname in ("vcpus", "ram_mib", "disk_gib"):
-        v = doc.get(fieldname, 0)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValidationError(f"compute.{fieldname}", f"not a number: {v!r}")
-        if v < 0:
-            raise ValidationError(f"compute.{fieldname}", "negative")
-    request = ResourceVector(
-        vcpus=float(doc.get("vcpus", 0)),
-        ram_mib=int(doc.get("ram_mib", 0)),
-        disk_gib=int(doc.get("disk_gib", 0)),
-    )
+    v = doc.get("vcpus", 0)
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValidationError("compute.vcpus", f"not a number: {v!r}")
+    if v < 0:
+        raise ValidationError("compute.vcpus", "negative")
+    counts = {}
+    for fieldname in ("ram_mib", "disk_gib"):
+        try:
+            counts[fieldname] = whole_number(doc.get(fieldname, 0), fieldname)
+        except ValueError as exc:
+            raise ValidationError(f"compute.{fieldname}", str(exc))
+    request = ResourceVector(vcpus=float(v), **counts)
     return ComputeRequirement(profile=profile, request=request)
 
 

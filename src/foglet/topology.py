@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .model import ResourceVector, Tier, mbps
+from .model import ResourceVector, Tier, mbps, whole_number
 
 
 class TopologyError(Exception):
@@ -323,9 +323,10 @@ def load_topology(doc: Mapping) -> Topology:
         try:
             capacity = ResourceVector(
                 vcpus=float(nd.get("vcpus", 0)),
-                ram_mib=int(nd.get("ram_mib", 0)),
-                disk_gib=int(nd.get("disk_gib", 0)),
+                ram_mib=whole_number(nd.get("ram_mib", 0), "ram_mib"),
+                disk_gib=whole_number(nd.get("disk_gib", 0), "disk_gib"),
             )
+            cache_mib = whole_number(nd.get("cache_mib", 0), "cache_mib")
         except ValueError as exc:
             raise TopologyError(f"node {nd.get('id')!r}: {exc}")
         nodes.append(Node(
@@ -334,7 +335,7 @@ def load_topology(doc: Mapping) -> Topology:
             capacity=capacity,
             region=str(nd.get("region", "")),
             labels=frozenset(nd.get("labels", []) or []),
-            cache_mib=int(nd.get("cache_mib", 0)),
+            cache_mib=cache_mib,
         ))
     links = []
     for ld in doc.get("links", []) or []:

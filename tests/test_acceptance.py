@@ -17,10 +17,12 @@ from foglet.engine import Engine
 from foglet.flowsim import BYTES_PER_MBIT
 from foglet.inventory import BandwidthBooking, InsufficientResources, Inventory
 from foglet.model import Placement, ResourceVector, validate_request
+from foglet.scheduler import PlannedFlow
 from foglet.documents import load_scenario
 from foglet.scenario import build_engine, run_scenario
 from foglet.topology import load_topology
 from tests.conftest import SCENARIO_DIR, camera_app_doc, reference_topology_doc, store_app_doc
+from tests.stepped_flowsim import SteppedFlowSimulator
 
 MBIT_TO_BYTES = Fraction(1_000_000, 8)
 
@@ -500,6 +502,9 @@ def test_criterion_7_replay_is_byte_identical(name):
 
 
 def test_criterion_8_byte_conservation_random_faults():
+    # Delivered bytes are derived (sourced - cached - lost), so conservation
+    # holds by construction; each report is also compared, exactly, with the
+    # step-by-step simulator the closed-form counters replaced.
     rng = random.Random(0xFA57)
     for _ in range(60):
         cache = rng.choice([0, 0, 1, 16, 1024])
@@ -509,20 +514,38 @@ def test_criterion_8_byte_conservation_random_faults():
         engine.submit(camera_app_doc(svs=rng.random() < 0.5))
         engine.submit(store_app_doc())
         engine.process_pending()
+        oracle = SteppedFlowSimulator(
+            engine.topo, drain_multiplier=engine.config.drain_rate_multiplier,
+            residuals_fn=engine._link_residuals,
+        )
+        for f in engine.flowsim.flows.values():
+            oracle.activate_flow(PlannedFlow(
+                flow_id=f.id, source=f.source, sink=f.sink, rate_mbps=f.rate_mbps,
+                path=f.path, booked_mbps=f.booked_mbps, booking_owner=f.booking_owner,
+            ))
         link_ids = list(engine.topo.links)
         for _step in range(rng.randint(4, 20)):
             roll = rng.random()
             if roll < 0.35:
-                engine.set_link_state(rng.choice(link_ids), rng.random() < 0.5)
+                link, up = rng.choice(link_ids), rng.random() < 0.5
+                changed = engine.topo.links[link].up != up
+                engine.set_link_state(link, up)
+                if changed:
+                    oracle.on_link_state_changed(link)
             else:
-                engine.advance(Fraction(rng.randint(1, 900), 10))
-            for flow in engine.flowsim.flows.values():
-                assert flow.sourced_mbit == (
-                    flow.delivered_mbit + flow.buffered_mbit + flow.lost_mbit
+                dt = Fraction(rng.randint(1, 900), 10)
+                engine.advance(dt)
+                oracle.advance(dt)
+            report = engine.report()
+            for flow in report.flows:
+                assert flow.bytes_sourced == (
+                    flow.bytes_delivered + flow.bytes_cached + flow.bytes_lost
                 ), flow
-                assert flow.buffered_mbit >= 0, flow
-            for node, held in engine.report().caches.items():
+                assert flow.bytes_cached >= 0, flow
+            for node, held in report.caches.items():
                 assert 0 <= held <= engine.flowsim.caches[node] * BYTES_PER_MBIT, node
+            reserved = {lid: l.reserved_mbps for lid, l in engine.inventory.snapshot().links.items()}
+            assert report == oracle.report(reserved)
 
 
 # -- criterion 9: persist/restore mid-scenario ---------------------------------------------

@@ -77,6 +77,13 @@ def test_scenario_requires_topology():
         parse_scenario({"steps": []})
 
 
+@pytest.mark.parametrize("value", [1.9, 0.5, -5, True])
+def test_scenario_cache_sizes_are_whole_numbers_never_rounded(value):
+    with pytest.raises(DocumentError, match="caches_mib.cloudlet-a"):
+        parse_scenario({"topology": reference_topology_doc(), "steps": [],
+                        "caches_mib": {"cloudlet-a": value}})
+
+
 def test_missing_file_is_a_document_error():
     with pytest.raises(DocumentError, match="no such file"):
         load_yaml("/nonexistent/place.yaml")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -357,11 +358,28 @@ def test_load_refuses_version_2_state_files(tmp_path, reference_engine):
     path = str(tmp_path / "v2.bin")
     reference_engine.save(path)
     sections = read_store(path)
-    meta, flowsim = dict(sections)["meta"], dict(sections)["flowsim"]
+    meta = dict(sections)["meta"]
     meta["engine_version"] = 2
-    flowsim.update(clock_s=meta["clock_s"], caches={"cloudlet-a": "134217728/15625"})
-    write_store(path, sections)
+    flowsim = {"flows": {}, "clock_s": meta["clock_s"],
+               "caches": {"cloudlet-a": "134217728/15625"}}
+    write_store(path, _with_section(sections, "flowsim", flowsim))
     with pytest.raises(StoreError, match="engine version 2 "):
+        Engine.load(path)
+
+
+def test_load_refuses_version_3_state_files(tmp_path, reference_engine):
+    # Version 3 saved the flows as one JSON document, with running sourced
+    # and delivered counters in place of the activation and stall clocks.
+    path = str(tmp_path / "v3.bin")
+    _decide_three(reference_engine).save(path)
+    sections = read_store(path)
+    dict(sections)["meta"]["engine_version"] = 3
+    flows = {
+        record["id"]: {**record, "sourced_mbit": "0", "delivered_mbit": "0"}
+        for record in map(json.loads, dict(sections)["flowsim"].splitlines())
+    }
+    write_store(path, _with_section(sections, "flowsim", {"flows": flows}))
+    with pytest.raises(StoreError, match="engine version 3 "):
         Engine.load(path)
 
 
@@ -385,8 +403,11 @@ def test_a_usecase_c_checkpoint_holds_each_fact_once(tmp_path):
     sections = dict(read_store(path))
     (cloudlet,) = [n for n in sections["topology"]["nodes"] if n["id"] == "cloudlet-a"]
     assert cloudlet["cache_mib"] == 1024
-    assert set(sections["flowsim"]) == {"flows"}
-    keys = {name: set(_keys(doc)) for name, doc in sections.items() if name != "decisions"}
+    flows = [json.loads(line) for line in sections["flowsim"].splitlines()]
+    assert [f["id"] for f in flows] == sorted(engine.flowsim.flows)
+    keys = {name: set(_keys(doc)) for name, doc in sections.items()
+            if name not in ("decisions", "flowsim")}
+    keys["flowsim"] = set(_keys(flows))
     assert [name for name, found in keys.items() if "clock_s" in found] == ["meta"]
     for name in ("meta", "inventory", "flowsim"):
         assert not keys[name] & {"capacity", "bandwidth_mbps", "cache_mib", "caches"}, name
@@ -415,8 +436,9 @@ def test_an_evicted_request_leaves_no_placement_behind(tmp_path, reference_engin
     meta = sections["meta"]
     # Only the request's status and its decision record still name it.
     assert meta.pop("statuses")["req-000001"] == "placed"
-    for name in ("meta", "topology", "inventory", "flowsim"):
+    for name in ("meta", "topology", "inventory"):
         assert "req-000001" not in json.dumps(sections[name]), name
+    assert b"req-000001" not in sections["flowsim"]
 
 
 def test_load_refuses_a_journal_without_one_line_per_decided_request(tmp_path, reference_engine):
@@ -542,3 +564,85 @@ def test_each_refused_call_leaves_the_saved_bytes_unchanged(tmp_path):
 def test_any_raising_call_leaves_the_saved_bytes_unchanged(names):
     with tempfile.TemporaryDirectory() as tmpdir:
         _raising_calls_leave_no_trace(names, tmpdir)
+
+
+def _key_paths(doc, prefix=()):
+    """The path to every mapping key anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, prefix + (i,))
+
+
+@functools.lru_cache(maxsize=None)
+def _rich_state():
+    """Sections of a state file with every kind of fact in it (decisions, a
+    queued request, a deferred flow, caching and stalled flows), and each
+    key in it as (section, flow line or None, key path)."""
+    doc = reference_topology_doc()
+    doc["nodes"][1]["cache_mib"] = 16
+    engine = Engine(load_topology(doc), config=EngineConfig())
+    _decide_three(engine)
+    engine.submit(camera_app_doc(name="second_detector", store="never_placed"))
+    engine.process_pending()
+    engine.submit(store_app_doc("queued"))
+    engine.advance(5)
+    engine.set_link_state("wan", False)
+    engine.advance(Fraction(61, 2))
+    engine.set_link_state("lan-a", False)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "state.bin")
+        engine.save(path)
+        sections = read_store(path)
+    keys = [
+        (name, None, path)
+        for name, payload in sections if name not in ("decisions", "flowsim")
+        for path in _key_paths(payload)
+    ] + [
+        ("flowsim", n, path)
+        for n, line in enumerate(dict(sections)["flowsim"].splitlines())
+        for path in _key_paths(json.loads(line))
+    ]
+    return sections, keys
+
+
+@hypothesis.given(
+    st.data(),
+    st.one_of(st.just("delete"), st.sampled_from([None, 0, -1, 2.5, "x", "1/0", [], {}, True])),
+)
+def test_a_missing_or_mistyped_key_loads_or_raises_store_error(data, change):
+    rich_sections, rich_keys = _rich_state()
+    name, line_no, keys = data.draw(st.sampled_from(rich_keys))
+    sections = copy.deepcopy(rich_sections)
+    lines = dict(sections)["flowsim"].splitlines(keepends=True)
+    doc = json.loads(lines[line_no]) if name == "flowsim" else dict(sections)[name]
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if change == "delete":
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = change
+    if name == "flowsim":
+        lines[line_no] = json.dumps(doc).encode() + b"\n"
+        doc = b"".join(lines)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "state.bin")
+        write_store(path, _with_section(sections, name, doc))
+        try:
+            Engine.load(path)
+        except StoreError:
+            pass
+
+
+def test_load_names_the_missing_key_in_a_store_error(tmp_path, reference_engine):
+    path = str(tmp_path / "state.bin")
+    _decide_three(reference_engine).save(path)
+    sections = read_store(path)
+    del dict(sections)["meta"]["statuses"]
+    write_store(path, sections)
+    with pytest.raises(StoreError, match="statuses"):
+        Engine.load(path)

@@ -36,6 +36,26 @@ def test_negative_vcpus_rejected():
     assert "negative" in err.value.reason
 
 
+@pytest.mark.parametrize("fieldname", ["ram_mib", "disk_gib"])
+@pytest.mark.parametrize("value", [1.9, 0.5, -5, True])
+def test_memory_and_disk_are_whole_numbers_never_rounded(fieldname, value):
+    with pytest.raises(ValidationError) as err:
+        validate_request({
+            "component": {"name": "x"},
+            "requirements": [{"compute": {fieldname: value}}],
+        })
+    assert err.value.field == f"compute.{fieldname}"
+
+
+def test_an_integral_float_is_a_whole_number():
+    request = validate_request({
+        "component": {"name": "x"},
+        "requirements": [{"compute": {"ram_mib": 256.0, "disk_gib": 2}}],
+    })
+    (compute,) = request.requirements
+    assert (compute.request.ram_mib, compute.request.disk_gib) == (256, 2)
+
+
 def test_network_requirement_parses_with_profile():
     request = validate_request({
         "component": {"name": "face_detection"},

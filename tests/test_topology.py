@@ -292,3 +292,12 @@ def test_snapshot_round_trip_preserves_link_state():
     assert clone.links["wan"].up is False
     assert clone.links["lan-a"].up is True
     assert topology_to_document(clone) == topology_to_document(topo)
+
+
+@pytest.mark.parametrize("fieldname", ["ram_mib", "disk_gib", "cache_mib"])
+@pytest.mark.parametrize("value", [1.9, 0.5, -5, True])
+def test_node_sizes_are_whole_numbers_never_rounded(fieldname, value):
+    doc = reference_topology_doc()
+    doc["nodes"][1][fieldname] = value
+    with pytest.raises(TopologyError, match=fieldname):
+        load_topology(doc)
