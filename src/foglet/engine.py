@@ -34,7 +34,7 @@ from .model import (
     request_to_document,
     validate_request,
 )
-from .negotiator import Accepted, Rejected
+from .negotiator import Accepted
 from .scheduler import PendingFlow
 from .topology import (
     Topology,
@@ -198,21 +198,34 @@ class Engine:
     def _process_one(self, request: DeploymentRequest) -> DecisionRecord:
         outcome = self._negotiate(request)
         if isinstance(outcome, Accepted):
-            record = self._deploy(request, outcome)
+            decided, node_id, reasons = "placed", self._deploy(request, outcome), ()
         else:
-            record = self._reject(request, outcome)
-        audit_log.info("%s", json.dumps({
-            "request_id": record.request_id,
-            "outcome": record.outcome,
-            "candidate": record.node_id,
-            "reasons": [list(r) for r in record.reasons],
-            "timestamp": float(record.decided_at),
-        }, sort_keys=True))
+            decided, node_id, reasons = "rejected", None, outcome.reasons
+        record = DecisionRecord(
+            request_id=request.id,
+            component=request.component.name,
+            outcome=decided,
+            node_id=node_id,
+            reasons=reasons,
+            verdicts=tuple(v.to_dict() for v in outcome.verdicts),
+            scores=tuple(s.to_dict() for s in outcome.scores),
+            decided_at=self.clock_s,
+        )
+        if audit_log.isEnabledFor(logging.INFO):
+            audit_log.info("%s", json.dumps({
+                "request_id": record.request_id,
+                "outcome": record.outcome,
+                "candidate": record.node_id,
+                "reasons": [list(r) for r in record.reasons],
+                "timestamp": float(record.decided_at),
+            }, sort_keys=True))
+        self._statuses[request.id] = record.outcome
         self._decisions[request.id] = record
         self._unjournaled.append(record)
         return record
 
-    def _deploy(self, request: DeploymentRequest, outcome: Accepted) -> DecisionRecord:
+    def _deploy(self, request: DeploymentRequest, outcome: Accepted) -> str:
+        """Place an accepted request and resolve its flows; returns its node."""
         placement = scheduler.schedule(
             request,
             outcome.candidate_node,
@@ -231,30 +244,7 @@ class Engine:
             if not (w.tenant == request.tenant and w.spec.peer == request.component.name)
         ]
         self._pending_flows.extend(outcome.deferred_flows)
-        self._statuses[request.id] = "placed"
-        return DecisionRecord(
-            request_id=request.id,
-            component=request.component.name,
-            outcome="placed",
-            node_id=placement.node_id,
-            reasons=(),
-            verdicts=tuple(v.to_dict() for v in outcome.verdicts),
-            scores=tuple(s.to_dict() for s in outcome.scores),
-            decided_at=self.clock_s,
-        )
-
-    def _reject(self, request: DeploymentRequest, outcome: Rejected) -> DecisionRecord:
-        self._statuses[request.id] = "rejected"
-        return DecisionRecord(
-            request_id=request.id,
-            component=request.component.name,
-            outcome="rejected",
-            node_id=None,
-            reasons=outcome.reasons,
-            verdicts=tuple(v.to_dict() for v in outcome.verdicts),
-            scores=tuple(s.to_dict() for s in outcome.scores),
-            decided_at=self.clock_s,
-        )
+        return placement.node_id
 
     # -- time and faults -----------------------------------------------------------
 
@@ -269,27 +259,6 @@ class Engine:
         with self._lock:
             if self.topo.set_link_state(link_id, up):
                 self.flowsim.on_link_state_changed(link_id)
-
-    def evict_node(self, node_id: str) -> List[str]:
-        """Test/scenario plumbing: drop every placement on a node."""
-        with self._lock:
-            evicted = self.inventory.evict_placements_on(node_id)
-            dead = self.flowsim.deactivate_flows_touching(evicted)
-            for flow in dead:
-                if flow.booking_owner in evicted:
-                    continue  # inventory already freed that reservation's bookings
-                if flow.path and flow.booked_mbps > 0:
-                    self.inventory.release_placement_bandwidth(
-                        flow.booking_owner, flow.path, flow.booked_mbps
-                    )
-            gone = set(evicted)
-            self._placements_by_component = {
-                k: v for k, v in self._placements_by_component.items() if v[0] not in gone
-            }
-            self._pending_flows = [
-                w for w in self._pending_flows if w.owner_request not in gone
-            ]
-            return evicted
 
     # -- views -----------------------------------------------------------------------
 
@@ -340,7 +309,7 @@ class Engine:
         return record
 
     def placements(self) -> List[dict]:
-        """The running placements; an evicted one is gone from the inventory."""
+        """The running placements, by request id."""
         with self._lock:
             return [
                 {

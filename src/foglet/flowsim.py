@@ -28,7 +28,7 @@ Accounting costs what changed, not the number of flows:
   caching flow the links up to its cache, a stalled flow none. A link event
   only reassigns states and notes each flow it touched, with its state
   before; group moves, stepping and the stall clock catch up at the next
-  advance, report, save or teardown. A report re-sums only the groups whose
+  advance, report or save. A report re-sums only the groups whose
   members changed and applies the difference to their links.
 - Flows saved as lines. The state file holds one compact JSON line per
   flow, in id order. A flow keeps its encoded line until its record
@@ -237,7 +237,7 @@ class FlowSimulator:
 
     Cache occupancy is a running total: `_occupied[n]` equals the sum of
     `buffered_mbit` over the flows whose `cache_node` is `n`, exactly, and is
-    adjusted wherever a parked buffer grows, drains, moves or is removed.
+    adjusted wherever a parked buffer grows, drains or moves.
     """
 
     def __init__(self, topo: Topology, drain_multiplier: Fraction = Fraction(2),
@@ -276,7 +276,7 @@ class FlowSimulator:
     def _ordered(self) -> List[Flow]:
         return sorted(self.flows.values(), key=_flow_id)
 
-    # -- activation / teardown -------------------------------------------------
+    # -- activation ------------------------------------------------------------
 
     def activate_flow(self, plan: PlannedFlow) -> Flow:
         flow = Flow(
@@ -293,26 +293,6 @@ class FlowSimulator:
         self.flows[flow.id] = flow
         self._touched[flow.id] = (flow, None)
         return flow
-
-    def deactivate_flows_touching(self, request_ids) -> List[Flow]:
-        """Remove flows whose source or sink placement belongs to `request_ids`."""
-        self._settle()
-        targets = set(request_ids)
-        removed = []
-        for fid, flow in list(self.flows.items()):
-            for end in (flow.source, flow.sink):
-                if end.kind == "placement" and end.id in targets:
-                    removed.append(self.flows.pop(fid))
-                    if flow.buffered_mbit:
-                        self._park(flow.cache_node, -flow.buffered_mbit)
-                    self._stepped.pop(fid, None)
-                    group = flow.group
-                    if group is not None:
-                        del group.members[fid]
-                        self._dirty[group.key] = group
-                        flow.group = None
-                    break
-        return removed
 
     # -- fault handling ----------------------------------------------------------
 

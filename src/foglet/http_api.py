@@ -213,11 +213,3 @@ class ApiServer(ThreadingHTTPServer):
         self._stop.set()
         self._wake.set()
         super().shutdown()
-
-
-def serve(engine: Engine, host: str = "127.0.0.1", port: int = 8080) -> ApiServer:
-    """Start serving in the calling thread's background; caller owns shutdown."""
-    server = ApiServer(engine, (host, port))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server

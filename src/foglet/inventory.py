@@ -9,8 +9,10 @@ are all-or-nothing: each checks everything first and raises without
 changing anything, or applies all of its changes. `place` records a
 placement, its node footprint and its bandwidth bookings in one step;
 `release_placement_bandwidth` returns one booking early;
-`evict_placements_on` frees a node and deletes its placements. Reads take
-immutable snapshots.
+`evict_placements_on` frees a node and deletes its placements. The engine
+calls only `place`, so its placements last as long as it does; the other
+two are kept for the inventory's conservation property (acceptance
+criterion 6). Reads take immutable snapshots.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ class Inventory:
 
     def release_placement_bandwidth(self, request_id: str, path: Tuple[str, ...],
                                     amount: Fraction) -> None:
-        """Return one booked path's bandwidth early (flow torn down before its
-        placement is). The placement keeps its remaining bookings."""
+        """Return one booked path's bandwidth before its placement goes.
+        The placement keeps its remaining bookings."""
         booking = BandwidthBooking(path=tuple(path), mbps=amount)
         with self._lock:
             rsv = self._reservations.get(request_id)

@@ -63,7 +63,6 @@ class PathMetrics:
     bottleneck_mbps: Optional[Fraction]  # None = unconstrained (empty path)
     total_latency_ms: Fraction
     total_jitter_ms: Fraction
-    hops: int
 
     def bandwidth_at_least(self, needed: Fraction) -> bool:
         return self.bottleneck_mbps is None or self.bottleneck_mbps >= needed
@@ -253,7 +252,7 @@ class Topology:
     def path_metrics(self, path: Path, residual: Mapping[str, Fraction]) -> PathMetrics:
         """Aggregate metrics of a path: min residual bandwidth, summed latency/jitter."""
         if not path:
-            return PathMetrics(None, Fraction(0), Fraction(0), 0)
+            return PathMetrics(None, Fraction(0), Fraction(0))
         links = [self.links[lid] for lid in path]
         return PathMetrics(
             bottleneck_mbps=min(
@@ -261,7 +260,6 @@ class Topology:
             ),
             total_latency_ms=sum((l.latency_ms for l in links), Fraction(0)),
             total_jitter_ms=sum((l.jitter_ms for l in links), Fraction(0)),
-            hops=len(links),
         )
 
 

@@ -55,7 +55,7 @@ class SteppedFlowSimulator:
 
     Cache occupancy is a running total: `_occupied[n]` equals the sum of
     `buffered_mbit` over the flows whose `cache_node` is `n`, exactly, and is
-    adjusted wherever a parked buffer grows, drains, moves or is removed.
+    adjusted wherever a parked buffer grows, drains or moves.
     """
 
     def __init__(self, topo: Topology, drain_multiplier: Fraction = Fraction(2),
@@ -78,7 +78,7 @@ class SteppedFlowSimulator:
     def _park(self, node_id: str, mbit: Fraction) -> None:
         self._occupied[node_id] = self._occupied.get(node_id, Fraction(0)) + mbit
 
-    # -- activation / teardown -------------------------------------------------
+    # -- activation ------------------------------------------------------------
 
     def activate_flow(self, plan: PlannedFlow) -> SteppedFlow:
         flow = SteppedFlow(
@@ -93,19 +93,6 @@ class SteppedFlowSimulator:
         self._assign_state(flow)  # a new flow holds no data, so needs no drain rate
         self.flows[flow.id] = flow
         return flow
-
-    def deactivate_flows_touching(self, request_ids) -> List[SteppedFlow]:
-        """Remove flows whose source or sink placement belongs to `request_ids`."""
-        targets = set(request_ids)
-        removed = []
-        for fid, flow in list(self.flows.items()):
-            for end in (flow.source, flow.sink):
-                if end.kind == "placement" and end.id in targets:
-                    removed.append(self.flows.pop(fid))
-                    if flow.buffered_mbit:
-                        self._park(flow.cache_node, -flow.buffered_mbit)
-                    break
-        return removed
 
     # -- fault handling ----------------------------------------------------------
 

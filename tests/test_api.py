@@ -17,8 +17,11 @@ def serve(topo_doc):
 
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 @pytest.fixture

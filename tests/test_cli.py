@@ -102,8 +102,11 @@ def live_server():
     server = ApiServer(engine, ("127.0.0.1", 0))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.port}"
-    server.shutdown()
+    try:
+        yield f"http://127.0.0.1:{server.port}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_client_commands_against_live_server(tmp_path, live_server):

@@ -76,53 +76,6 @@ def test_submit_rejects_duplicate_id(reference_engine):
         reference_engine.submit({"id": "mine", "component": {"name": "b"}})
 
 
-def test_evict_then_reschedule_is_deterministic(reference_engine):
-    reference_engine.submit(camera_app_doc())
-    (first,) = reference_engine.process_pending()
-    assert first.node_id == "cloud"
-    reference_engine.evict_node("cloud")
-    view = reference_engine.inventory.snapshot()
-    assert view.nodes["cloud"].allocated.is_zero()
-    assert all(l.reserved_mbps == 0 for l in view.links.values())
-    assert reference_engine.report().flows == ()
-    reference_engine.submit(camera_app_doc("face_detection_again", "face_store_again"))
-    (second,) = reference_engine.process_pending()
-    assert second.node_id == "cloud"  # identical inventory, identical choice
-
-
-def test_eviction_releases_cross_owned_flow_bookings(reference_engine):
-    # face_store's negotiation booked the faces flow; evicting the *detector's*
-    # node must still free that booking because the flow dies with it.
-    reference_engine.submit(camera_app_doc(svs=True))
-    reference_engine.submit(store_app_doc())
-    reference_engine.process_pending()
-    wan_before = reference_engine.inventory.snapshot().links["wan"].reserved_mbps
-    assert wan_before == Fraction(1, 5)
-    reference_engine.evict_node("cloudlet-a")
-    view = reference_engine.inventory.snapshot()
-    assert view.links["wan"].reserved_mbps == 0
-    assert view.links["lan-a"].reserved_mbps == 0
-
-
-def test_evict_node_is_all_or_nothing(tmp_path, reference_engine):
-    # Float vCPUs: 0.7 + 0.1 - 0.7 - 0.1 is below zero, so freeing both
-    # placements raises; nothing may have been evicted when it does.
-    engine = reference_engine
-    for name, vcpus in (("big", 0.7), ("small", 0.1)):
-        engine.submit({"component": {"name": name},
-                       "requirements": [{"compute": {"vcpus": vcpus}},
-                                        {"location": {"region": "metro-a"}}]})
-    records = engine.process_pending()
-    assert [r.node_id for r in records] == ["cloudlet-a", "cloudlet-a"]
-    before, after = str(tmp_path / "before.bin"), str(tmp_path / "after.bin")
-    engine.save(before)
-    try:
-        assert engine.evict_node("cloudlet-a") == [r.request_id for r in records]
-    except ValueError:
-        engine.save(after)
-        assert open(after, "rb").read() == open(before, "rb").read()
-
-
 def test_failed_transaction_fails_its_request_and_keeps_later_ones_queued(
         reference_engine, monkeypatch):
     engine = reference_engine
@@ -221,7 +174,7 @@ def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, referenc
     engine.save(path)
     resaved = str(tmp_path / "resaved.bin")
     Engine.load(path).save(resaved)
-    assert open(resaved, "rb").read() == open(path, "rb").read()
+    assert _read(resaved) == _read(path)
 
     records = read_store(path)
     inventory = dict(records)["inventory"]
@@ -246,7 +199,7 @@ def test_load_ignores_placement_bookings_of_older_state_files(tmp_path, referenc
     older = str(tmp_path / "older.bin")
     write_store(older, records)
     Engine.load(older).save(resaved)
-    assert open(resaved, "rb").read() == open(path, "rb").read()
+    assert _read(resaved) == _read(path)
 
 
 def test_load_rejects_missing_sections(tmp_path):
@@ -279,10 +232,14 @@ def _decide_three(engine):
     return engine
 
 
-def _saved(engine, path) -> bytes:
-    engine.save(str(path))
+def _read(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _saved(engine, path) -> bytes:
+    engine.save(str(path))
+    return _read(path)
 
 
 def _with_section(sections, name, payload):
@@ -423,24 +380,6 @@ def test_a_usecase_c_checkpoint_holds_each_fact_once(tmp_path):
     assert clone.clock_s == engine.clock_s == clone.report().horizon_s
 
 
-def test_an_evicted_request_leaves_no_placement_behind(tmp_path, reference_engine):
-    engine = reference_engine
-    engine.submit(camera_app_doc(svs=True))
-    engine.submit(store_app_doc())
-    engine.process_pending()
-    assert engine.evict_node("cloudlet-a") == ["req-000001"]
-    assert [p["request_id"] for p in engine.placements()] == ["req-000002"]
-    path = str(tmp_path / "evicted.bin")
-    engine.save(path)
-    sections = dict(read_store(path))
-    meta = sections["meta"]
-    # Only the request's status and its decision record still name it.
-    assert meta.pop("statuses")["req-000001"] == "placed"
-    for name in ("meta", "topology", "inventory"):
-        assert "req-000001" not in json.dumps(sections[name]), name
-    assert b"req-000001" not in sections["flowsim"]
-
-
 def test_load_refuses_a_journal_without_one_line_per_decided_request(tmp_path, reference_engine):
     path = str(tmp_path / "state.bin")
     _decide_three(reference_engine).save(path)
@@ -522,14 +461,25 @@ CALLS = {
     "wan-down": ("set_link_state", "wan", False),
     "wan-up": ("set_link_state", "wan", True),
     "ghost-link": ("set_link_state", "ghost", False),
-    "evict-cloudlet": ("evict_node", "cloudlet-a"),
-    "ghost-node": ("evict_node", "ghost"),
 }
+
+
+def _statuses_name_running_placements(engine) -> None:
+    """A request is `placed` exactly when the inventory runs its placement,
+    on the node its status names."""
+    running = {p["request_id"]: p["node_id"] for p in engine.placements()}
+    placed = {}
+    for rid in engine.request_ids():
+        status = engine.request_status(rid)
+        if status["state"] == "placed":
+            placed[rid] = status["placement"]["node_id"]
+    assert placed == running
 
 
 def _raising_calls_leave_no_trace(names, tmpdir) -> list:
     """Makes the named CALLS in order; every call that raises must leave the
-    saved bytes as they were. Returns the names of those that raised."""
+    saved bytes as they were, and after every call no status may name a
+    placement that does not exist. Returns the names of those that raised."""
     engine = Engine(load_topology(reference_topology_doc()), config=EngineConfig())
     raised = []
     for name in names:
@@ -540,6 +490,7 @@ def _raising_calls_leave_no_trace(names, tmpdir) -> list:
         except Exception:
             raised.append(name)
             assert _saved(engine, os.path.join(tmpdir, "after.bin")) == before, name
+        _statuses_name_running_placements(engine)
     return raised
 
 
@@ -549,13 +500,11 @@ def test_each_refused_call_leaves_the_saved_bytes_unchanged(tmp_path):
         "named", "named",  # duplicate id
         "store", "store",  # req-000001, req-000002
         "store",  # req-000003 is taken, so req-000004
-        "advance-zero", "advance-negative", "ghost-link", "ghost-node",
+        "advance-zero", "advance-negative", "ghost-link",
         "big", "small", "process",
-        "evict-cloudlet",  # float vCPUs: 0.7 + 0.1 - 0.7 - 0.1 < 0
     ]
     assert _raising_calls_leave_no_trace(names, str(tmp_path)) == [
-        "invalid", "named", "advance-zero", "advance-negative", "ghost-link", "ghost-node",
-        "evict-cloudlet",
+        "invalid", "named", "advance-zero", "advance-negative", "ghost-link",
     ]
 
 

@@ -233,14 +233,6 @@ def test_flow_activated_over_down_link_starts_caching_or_stalled():
     assert flow2.state is FlowState.STALLED
 
 
-def test_deactivation_by_placement():
-    sim = FlowSimulator(chain_topology())
-    sim.activate_flow(planned("f1", 4, ("lan", "wan")))
-    removed = sim.deactivate_flows_touching({"dst"})
-    assert [f.id for f in removed] == ["f1"]
-    assert sim.flows == {}
-
-
 # -- conservation under randomized fault schedules ------------------------------------
 
 
@@ -371,7 +363,6 @@ activate_step = st.tuples(
 storm_steps = st.lists(
     st.one_of(
         activate_step,
-        st.tuples(st.just("deactivate"), st.integers(0, 3)),
         # Faults on the two links between caches are the ones that move buffers.
         st.tuples(st.just("toggle"), st.sampled_from(["wan", "metro", "wan", "metro", "lan"])),
         st.tuples(st.just("advance"), st.integers(1, 300)),
@@ -397,8 +388,6 @@ def test_running_occupancy_matches_the_oracle(cloudlet_mib, gateway_mib, setup, 
             kind = step[0]
             if kind == "activate":
                 side.sim.activate_flow(two_cache_plan(f"f{n}", *step[1:]))
-            elif kind == "deactivate":
-                side.sim.deactivate_flows_touching({f"app{step[1]}"})
             elif kind == "toggle":
                 set_link(side.topo, side.sim, step[1], not side.topo.links[step[1]].up)
             elif kind == "advance":
@@ -431,8 +420,6 @@ def test_buffer_moves_to_upstream_cache_when_its_cache_is_cut_off():
     set_link(topo, sim, "metro", False)
     assert flow.cache_node == "gateway"
     assert sim.report({}).caches == {"cloudlet": 0, "gateway": 40 * BYTES_PER_MBIT}
-    sim.deactivate_flows_touching({"app0"})
-    assert sim.report({}).caches == {"cloudlet": 0, "gateway": 0}
 
 
 def test_buffer_moves_only_into_a_cache_with_room_for_all_of_it():
@@ -536,9 +523,6 @@ class Mirrored:
                     path=f.path, booked_mbps=f.booked_mbps, booking_owner=f.booking_owner,
                 ))
 
-    def evict(self, node):
-        self.oracle.deactivate_flows_touching(self.engine.evict_node(node))
-
     def toggle(self, link_id):
         self.set_link(link_id, not self.engine.topo.links[link_id].up)
 
@@ -571,7 +555,6 @@ oracle_steps = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.sampled_from(["cloud", "cloudlet-a", "cloudlet-b"]),
                   st.integers(1, 40)),
-        st.tuples(st.just("evict"), st.sampled_from(["cloud", "cloudlet-a", "cloudlet-b"])),
         st.tuples(st.just("toggle"),
                   st.sampled_from(["wan-a", "wan-a", "wan-b", "metro-a", "metro-b", "lan"])),
         # A down and up (or up and down) with no advance between them.

@@ -238,6 +238,30 @@ def test_evict_empty_node(inv):
     assert inv.evict_placements_on("gateway-a") == []
 
 
+def test_evicting_fractional_vcpus_is_all_or_nothing(inv):
+    # Float vCPUs: 0.7 + 0.1 - 0.7 - 0.1 is below zero, so freeing both
+    # placements raises; nothing may have been evicted when it does.
+    inv.place(placement("big", "cloudlet-a", ResourceVector(0.7, 0, 0), "big"))
+    inv.place(placement("small", "cloudlet-a", ResourceVector(0.1, 0, 0), "small"))
+    before = inv.state_document()
+    try:
+        assert inv.evict_placements_on("cloudlet-a") == ["big", "small"]
+    except ValueError:
+        assert inv.state_document() == before
+    else:
+        assert inv.snapshot().nodes["cloudlet-a"].allocated.is_zero()
+        assert inv.placements() == []
+
+
+def test_evicting_an_unknown_node_changes_nothing(inv):
+    inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    before = inv.state_document()
+    with pytest.raises(InventoryError, match="unknown node 'ghost'"):
+        inv.evict_placements_on("ghost")
+    assert inv.state_document() == before
+
+
 # -- persistence --------------------------------------------------------------------
 
 
@@ -274,15 +298,18 @@ def test_persist_restore_after_mutations(tmp_path, inv):
 def test_restore_truncated_file_fails_cleanly(tmp_path, inv):
     path = str(tmp_path / "state.bin")
     persist(inv, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 7])
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[: len(blob) - 7])
     with pytest.raises(StoreError):
         restore(path)
 
 
 def test_restore_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "junk.bin")
-    open(path, "wb").write(b"not a store at all")
+    with open(path, "wb") as fh:
+        fh.write(b"not a store at all")
     with pytest.raises(StoreError, match="magic"):
         read_store(path)
 
@@ -290,9 +317,11 @@ def test_restore_rejects_bad_magic(tmp_path):
 def test_restore_rejects_version_mismatch(tmp_path):
     path = str(tmp_path / "state.bin")
     write_store(path, [("inventory", {})])
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[7] = 99  # bump the version field
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
     with pytest.raises(StoreError, match="version"):
         read_store(path)
 

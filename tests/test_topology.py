@@ -159,7 +159,6 @@ def test_path_metrics_two_links():
     assert metrics.bottleneck_mbps == 8
     assert metrics.total_latency_ms == 45
     assert metrics.total_jitter_ms == 4
-    assert metrics.hops == 2
 
 
 def test_path_metrics_empty_path():
@@ -168,7 +167,6 @@ def test_path_metrics_empty_path():
     assert metrics.bottleneck_mbps is None  # unconstrained
     assert metrics.total_latency_ms == 0
     assert metrics.total_jitter_ms == 0
-    assert metrics.hops == 0
     assert metrics.bandwidth_at_least(Fraction(10**9))
 
 
@@ -177,7 +175,6 @@ def test_path_metrics_single_link():
     metrics = topo.path_metrics(("lan",), {"lan": Fraction(100)})
     assert metrics.bottleneck_mbps == 100
     assert metrics.total_latency_ms == 2
-    assert metrics.hops == 1
 
 
 # -- link state ---------------------------------------------------------------------
