@@ -39,7 +39,7 @@ from .scheduler import PendingFlow
 from .topology import (
     Topology,
     TopologyError,
-    topology_from_snapshot,
+    topology_from_document,
     topology_to_document,
 )
 
@@ -108,7 +108,7 @@ class Engine:
         self.flowsim = FlowSimulator(
             topo,
             drain_multiplier=self.config.drain_rate_multiplier,
-            residuals_fn=self._link_residuals,
+            residuals_fn=self.inventory.residuals,
         )
 
         self._queue: List[DeploymentRequest] = []
@@ -144,9 +144,6 @@ class Engine:
         fid = f"flow-{self._next_flow:06d}"
         self._next_flow += 1
         return fid
-
-    def _link_residuals(self) -> Mapping[str, Fraction]:
-        return self.inventory.snapshot().residuals()
 
     # -- submission and the FCFS loop -------------------------------------------
 
@@ -185,7 +182,7 @@ class Engine:
     def _negotiate(self, request: DeploymentRequest):
         return negotiator.negotiate(
             request,
-            self.inventory.snapshot(),
+            self.inventory,
             self.topo,
             self.config,
             # Passed as they are: negotiation only reads them, and _deploy
@@ -264,9 +261,7 @@ class Engine:
 
     def report(self) -> MetricsReport:
         with self._lock:
-            view = self.inventory.snapshot()
-            reserved = {lid: ls.reserved_mbps for lid, ls in view.links.items()}
-            return self.flowsim.report(reserved)
+            return self.flowsim.report(self.inventory.reserved())
 
     def request_ids(self) -> List[str]:
         with self._lock:
@@ -325,7 +320,6 @@ class Engine:
 
     def nodes(self) -> List[dict]:
         with self._lock:
-            view = self.inventory.snapshot()
             out = []
             for node in sorted(self.topo.nodes.values(), key=lambda n: n.id):
                 out.append({
@@ -334,7 +328,7 @@ class Engine:
                     "region": node.region,
                     "labels": sorted(node.labels),
                     "capacity": node.capacity.to_dict(),
-                    "allocated": view.nodes[node.id].allocated.to_dict(),
+                    "allocated": self.inventory.allocated(node.id).to_dict(),
                 })
             return out
 
@@ -413,7 +407,7 @@ class Engine:
             raise StoreError(
                 f"decision journal does not hold one line for each of {decided} decided requests"
             )
-        topo = topology_from_snapshot(records["topology"])
+        topo = topology_from_document(records["topology"])
         engine = cls(topo, config=config)
         engine.inventory.load_state_document(records["inventory"])
         engine.flowsim.load_state_lines(records["flowsim"])

@@ -2,8 +2,8 @@
 
 Submissions are asynchronous: POST /v1/requests answers 202 immediately and
 a worker drains the FCFS queue; clients poll GET /v1/requests/{id} for the
-outcome. Reads are consistent snapshots; every write funnels through the
-engine's lock.
+outcome. Every read and write runs under the engine's lock, so a read never
+sees a half-made change.
 """
 
 from __future__ import annotations

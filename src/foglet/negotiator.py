@@ -1,12 +1,12 @@
-"""Admission: test a request's feasibility against a state snapshot, choose
-the best node and plan its flows when it fits, reject with per-node reasons
-when it does not.
+"""Admission: test a request's feasibility against the inventory as it
+stands, choose the best node and plan its flows when it fits, reject with
+per-node reasons when it does not.
 
-Negotiation only reads: the plan it accepts is placed by
-`scheduler.schedule` in the same locked engine call, against the state the
-snapshot was taken from. Requests are processed strictly in arrival order;
-a request's transaction fully completes (placed or rejected) before the
-next is examined.
+Negotiation only reads: it reads the live inventory under the engine's
+lock, and the plan it accepts is placed by `scheduler.schedule` in the same
+locked engine call, so nothing changes in between. Requests are processed
+strictly in arrival order; a request's transaction fully completes (placed
+or rejected) before the next is examined.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 
 from . import scheduler
 from .config import EngineConfig
-from .inventory import InventoryView
+from .inventory import Inventory
 from .model import DeploymentRequest
 from .scheduler import (
     FilterVerdict,
@@ -50,32 +50,32 @@ NegotiationOutcome = Union[Accepted, Rejected]
 
 def negotiate(
     request: DeploymentRequest,
-    view: InventoryView,
+    inventory: Inventory,
     topo: Topology,
     config: EngineConfig,
     pending_flows: Sequence[PendingFlow],
     placements_by_component,
     allocate_flow_id,
 ) -> NegotiationOutcome:
-    """Decide one request against `view`.
+    """Decide one request against the inventory as it stands.
 
     An acceptance names the chosen node and the flows to activate there,
     with their bandwidth bookings; nothing is written until it is placed.
     """
-    verdicts = tuple(scheduler.feasible_nodes(request, view, topo, config))
+    verdicts = tuple(scheduler.feasible_nodes(request, inventory, topo, config))
     passing = [v for v in verdicts if v.passed]
     if not passing:
         return Rejected(reasons=tuple(_failure_reason(v) for v in verdicts), verdicts=verdicts)
 
     scores = tuple(
-        scheduler.priority(v.node_id, request, view, topo, config, v.path_metrics)
+        scheduler.priority(v.node_id, request, inventory, topo, config, v.path_metrics)
         for v in passing
     )
     chosen = scheduler.choose(scores)
 
     try:
         planned, deferred = scheduler.plan_flows(
-            request, chosen, view, topo, config,
+            request, chosen, inventory, topo, config,
             placements_by_component, pending_flows, allocate_flow_id,
         )
     except FlowAdmissionError as exc:

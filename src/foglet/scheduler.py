@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .config import EngineConfig
-from .inventory import BandwidthBooking, InventoryView
+from .inventory import BandwidthBooking, Inventory
 from .model import (
     ApplicationComponent,
     ComputeProfile,
@@ -143,11 +143,11 @@ def _covered_rate(component: ApplicationComponent, endpoint_id: str) -> Fraction
 
 
 def _requirement_metrics(
-    node_ids: Sequence[str], request: DeploymentRequest, view: InventoryView, topo: Topology
+    node_ids: Sequence[str], request: DeploymentRequest, inventory: Inventory, topo: Topology
 ) -> Mapping[str, Tuple[Optional[PathMetrics], ...]]:
     """For each node, the metrics of its path toward each network requirement's
     endpoint, in request order (None: unreachable); one BFS per endpoint."""
-    residuals = view.residuals() if request.network_requirements else {}
+    residuals = inventory.residuals() if request.network_requirements else {}
     routes = [
         topo.paths_to(topo.endpoint_node(req.endpoint), node_ids, residuals)
         for req in request.network_requirements
@@ -212,19 +212,18 @@ def _network_check(
 
 def feasible_nodes(
     request: DeploymentRequest,
-    view: InventoryView,
+    inventory: Inventory,
     topo: Topology,
     config: EngineConfig,
 ) -> List[FilterVerdict]:
     """One verdict per hostable node, every check evaluated (no short-circuit)."""
     footprint = effective_footprint(request, config)
     nodes = sorted(topo.hostable_nodes, key=lambda n: n.id)
-    routed = _requirement_metrics([n.id for n in nodes], request, view, topo)
+    routed = _requirement_metrics([n.id for n in nodes], request, inventory, topo)
     verdicts = []
     for node in nodes:
         checks: List[CheckResult] = []
-        state = view.nodes[node.id]
-        short = footprint.shortfalls(state.free)
+        short = footprint.shortfalls(inventory.free(node.id))
         if short:
             detail = ", ".join(f"{dim} shortfall {amount:g}" for dim, amount in short.items())
             checks.append(CheckResult("compute", False, detail))
@@ -257,7 +256,7 @@ def feasible_nodes(
 def priority(
     node_id: str,
     request: DeploymentRequest,
-    view: InventoryView,
+    inventory: Inventory,
     topo: Topology,
     config: EngineConfig,
     path_metrics: Sequence[Optional[PathMetrics]],
@@ -270,13 +269,13 @@ def priority(
     the node's FilterVerdict.path_metrics.
     """
     node = topo.nodes[node_id]
-    state = view.nodes[node_id]
+    free = inventory.free(node_id)
     footprint = effective_footprint(request, config)
     compute = request.compute
     profile = compute.profile if compute is not None else ComputeProfile.GENERAL_PURPOSE
     weights = _PROFILE_WEIGHTS[profile]
 
-    free_after = state.free - footprint if footprint.fits_within(state.free) else None
+    free_after = free - footprint if footprint.fits_within(free) else None
 
     def fraction(free_amount, total) -> float:
         if total <= 0:
@@ -286,7 +285,7 @@ def priority(
     if free_after is None:
         capacity_fit = 0.0
     else:
-        cap = state.capacity
+        cap = node.capacity
         fractions = (
             fraction(free_after.vcpus, cap.vcpus),
             fraction(free_after.ram_mib, cap.ram_mib),
@@ -366,7 +365,7 @@ def schedule(
 def plan_flows(
     request: DeploymentRequest,
     node_id: str,
-    view: InventoryView,
+    inventory: Inventory,
     topo: Topology,
     config: EngineConfig,
     placements_by_component: Mapping[Tuple[str, str], "tuple[str, str]"],
@@ -380,7 +379,7 @@ def plan_flows(
     sharing a link are admitted jointly. Raises FlowAdmissionError when an
     uncovered flow meets a saturated or severed path.
     """
-    residuals = dict(view.residuals())
+    residuals = dict(inventory.residuals())
     covered_endpoints = {r.endpoint for r in request.network_requirements}
     planned: List[PlannedFlow] = []
     deferred: List[PendingFlow] = []

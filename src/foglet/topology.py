@@ -356,7 +356,7 @@ def load_topology(doc: Mapping) -> Topology:
 
 
 def topology_to_document(topo: Topology) -> dict:
-    """Serialize structure plus current link state (used by engine snapshots)."""
+    """Serialize structure plus current link state (the state file's topology section)."""
     return {
         "nodes": [
             {
@@ -390,7 +390,7 @@ def topology_to_document(topo: Topology) -> dict:
     }
 
 
-def topology_from_snapshot(doc: Mapping) -> Topology:
+def topology_from_document(doc: Mapping) -> Topology:
     """Rebuild a topology from topology_to_document output, link states included."""
     topo = load_topology(doc)
     for ld in doc.get("links", []) or []:

@@ -99,7 +99,7 @@ def test_criterion_3_degradation_admission_outcomes():
     engine.submit(camera_app_doc())
     engine.submit(store_app_doc())
     engine.process_pending()
-    wan = engine.inventory.snapshot().links["wan"]
+    wan = engine.report().link("wan")
     assert wan.reserved_mbps == wan.capacity_mbps  # saturated
     engine.submit(camera_app_doc("face_detection2", "face_store2"))
     (record,) = engine.process_pending()
@@ -440,11 +440,10 @@ def test_criterion_6_inventory_conservation_10k_ops():
     ops = places = evictions = returns = 0
 
     def check():
-        view = inv.snapshot()
-        for state in view.nodes.values():
-            assert state.allocated.fits_within(state.capacity)
-        for link in view.links.values():
-            assert 0 <= link.reserved_mbps <= link.capacity_mbps
+        for node in topo.nodes.values():
+            assert inv.allocated(node.id).fits_within(node.capacity)
+        for lid, link in topo.links.items():
+            assert 0 <= inv.reserved()[lid] <= link.bandwidth_mbps
 
     while ops < 10_000:
         op = rng.choice(["place", "place", "place", "evict", "return"])
@@ -516,7 +515,7 @@ def test_criterion_8_byte_conservation_random_faults():
         engine.process_pending()
         oracle = SteppedFlowSimulator(
             engine.topo, drain_multiplier=engine.config.drain_rate_multiplier,
-            residuals_fn=engine._link_residuals,
+            residuals_fn=engine.inventory.residuals,
         )
         for f in engine.flowsim.flows.values():
             oracle.activate_flow(PlannedFlow(
@@ -544,7 +543,7 @@ def test_criterion_8_byte_conservation_random_faults():
                 assert flow.bytes_cached >= 0, flow
             for node, held in report.caches.items():
                 assert 0 <= held <= engine.flowsim.caches[node] * BYTES_PER_MBIT, node
-            reserved = {lid: l.reserved_mbps for lid, l in engine.inventory.snapshot().links.items()}
+            reserved = engine.inventory.reserved()
             assert report == oracle.report(reserved)
 
 

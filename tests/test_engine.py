@@ -374,7 +374,8 @@ def test_a_usecase_c_checkpoint_holds_each_fact_once(tmp_path):
         link["capacity_mbps"] = "1"
     write_store(path, list(sections.items()))
     clone = Engine.load(path)
-    assert clone.inventory.snapshot().links == engine.inventory.snapshot().links
+    assert dict(clone.inventory.reserved()) == dict(engine.inventory.reserved())
+    assert dict(clone.inventory.residuals()) == dict(engine.inventory.residuals())
     assert clone.nodes() == engine.nodes()
     assert clone.flowsim.caches == engine.flowsim.caches
     assert clone.clock_s == engine.clock_s == clone.report().horizon_s

@@ -508,7 +508,7 @@ class Mirrored:
             self.engine.topo,
             drain_multiplier=self.engine.config.drain_rate_multiplier,
             # The engine may be replaced by a loaded copy; read the current one.
-            residuals_fn=lambda: self.engine._link_residuals(),
+            residuals_fn=lambda: self.engine.inventory.residuals(),
         )
         self.apps = 0
 
@@ -542,8 +542,7 @@ class Mirrored:
 
     def check(self):
         engine, oracle = self.engine, self.oracle
-        reserved = {lid: l.reserved_mbps for lid, l in engine.inventory.snapshot().links.items()}
-        assert engine.report() == oracle.report(reserved)
+        assert engine.report() == oracle.report(engine.inventory.reserved())
         assert {fid: (f.state, f.cache_node) for fid, f in engine.flowsim.flows.items()} == {
             fid: (f.state, f.cache_node) for fid, f in oracle.flows.items()
         }

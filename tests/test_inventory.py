@@ -32,39 +32,29 @@ def placement(request_id, node_id, resources, component="comp"):
     )
 
 
-def test_fresh_snapshot_is_all_zero(inv):
-    view = inv.snapshot()
-    for state in view.nodes.values():
-        assert state.allocated.is_zero()
-    for link in view.links.values():
-        assert link.reserved_mbps == 0
+def test_fresh_snapshot_is_all_zero():
+    topo = load_topology(reference_topology_doc())
+    inv = Inventory(topo)
+    for node_id in topo.nodes:
+        assert inv.allocated(node_id).is_zero()
+    assert set(inv.reserved()) == set(topo.links)
+    for lid, link in topo.links.items():
+        assert inv.reserved()[lid] == 0
+        assert inv.residuals()[lid] == link.bandwidth_mbps
 
 
 def test_snapshot_reflects_committed_placement(inv):
     inv.place(placement("r1", "cloud", ResourceVector(2, 2048, 0)))
-    state = inv.snapshot().nodes["cloud"]
-    assert state.allocated == ResourceVector(2, 2048, 0)
-    assert state.free == ResourceVector(30, 63488, 1000)
-
-
-def test_snapshots_without_writes_are_equal(inv):
-    assert inv.snapshot().nodes == inv.snapshot().nodes
-    assert inv.snapshot().links == inv.snapshot().links
-
-
-def test_snapshot_immune_to_later_writes(inv):
-    before = inv.snapshot()
-    inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
-    assert before.nodes["cloudlet-a"].allocated.is_zero()
+    assert inv.allocated("cloud") == ResourceVector(2, 2048, 0)
+    assert inv.free("cloud") == ResourceVector(30, 63488, 1000)
 
 
 def test_commit_conserves_quantities(inv):
     inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
               [BandwidthBooking(path=("wan", "lan-a"), mbps=Fraction(3, 2))])
-    view = inv.snapshot()
-    assert view.nodes["cloudlet-a"].allocated == ResourceVector(2, 2048, 10)
-    assert view.links["wan"].reserved_mbps == Fraction(3, 2)
-    assert view.links["lan-a"].reserved_mbps == Fraction(3, 2)
+    assert inv.allocated("cloudlet-a") == ResourceVector(2, 2048, 10)
+    assert inv.reserved()["wan"] == Fraction(3, 2)
+    assert inv.reserved()["lan-a"] == Fraction(3, 2)
     assert [(p.request_id, p.node_id) for p in inv.placements()] == [("r1", "cloudlet-a")]
     doc = inv.state_document()
     assert doc["reservations"] == {"rsv-000001": {
@@ -75,9 +65,8 @@ def test_commit_conserves_quantities(inv):
 
 def test_hold_within_cloudlet_capacity(inv):
     inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)))
-    state = inv.snapshot().nodes["cloudlet-a"]
-    assert state.allocated == ResourceVector(2, 2048, 10)
-    assert state.free == ResourceVector(2, 14336, 470)
+    assert inv.allocated("cloudlet-a") == ResourceVector(2, 2048, 10)
+    assert inv.free("cloudlet-a") == ResourceVector(2, 14336, 470)
 
 
 def test_second_hold_beyond_capacity_names_shortfall(inv):
@@ -89,8 +78,7 @@ def test_second_hold_beyond_capacity_names_shortfall(inv):
 
 def test_zero_hold_succeeds(inv):
     inv.place(placement("r1", "gateway-a", ResourceVector()))
-    view = inv.snapshot()
-    assert view.nodes["gateway-a"].allocated.is_zero()
+    assert inv.allocated("gateway-a").is_zero()
     assert [p.request_id for p in inv.placements()] == ["r1"]
 
 
@@ -128,21 +116,27 @@ def test_hold_rejects_down_link():
 
 
 def test_snapshot_records_down_links_when_taken():
+    # The topology owns up/down; a down link keeps its residual, and the
+    # state file reads its up state from the topology.
     topo = load_topology(reference_topology_doc())
     inv = Inventory(topo)
-    before = inv.snapshot()
     topo.set_link_state("wan", False)
-    after = inv.snapshot()
-    assert "wan" in before.residuals() and "wan" not in after.residuals()
-    assert after.down_links == {"wan"}
+    assert inv.residuals()["wan"] == topo.links["wan"].bandwidth_mbps
     assert inv.state_document()["links"]["wan"]["up"] is False
 
 
 def test_residual_map_is_built_once_per_snapshot_and_read_only(inv):
-    view = inv.snapshot()
-    assert view.residuals() is view.residuals()
+    # The residual and reserved maps are live views that callers cannot write.
+    residuals, reserved = inv.residuals(), inv.reserved()
     with pytest.raises(TypeError):
-        view.residuals()["wan"] = Fraction(0)
+        residuals["wan"] = Fraction(0)
+    with pytest.raises(TypeError):
+        reserved["wan"] = Fraction(0)
+    capacity = residuals["wan"]
+    inv.place(placement("r1", "cloudlet-a", ResourceVector()),
+              [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
+    assert reserved["wan"] == 1
+    assert residuals["wan"] == capacity - 1
 
 
 def test_release_placement_bandwidth_returns_one_booking(inv):
@@ -151,9 +145,8 @@ def test_release_placement_bandwidth_returns_one_booking(inv):
         BandwidthBooking(path=("wan", "lan-a"), mbps=Fraction(1)),
     ])
     inv.release_placement_bandwidth("r1", ("wan",), Fraction(1, 2))
-    view = inv.snapshot()
-    assert view.links["wan"].reserved_mbps == 1
-    assert view.links["lan-a"].reserved_mbps == 1
+    assert inv.reserved()["wan"] == 1
+    assert inv.reserved()["lan-a"] == 1
     (record,) = inv.state_document()["reservations"].values()
     assert record["network"] == [{"path": ["wan", "lan-a"], "mbps": "1"}]
 
@@ -176,9 +169,8 @@ def test_evict_frees_placement(inv):
     inv.place(placement("r2", "cloud", ResourceVector(1, 0, 0)),
               [BandwidthBooking(path=("wan",), mbps=Fraction(1, 2))])
     assert inv.evict_placements_on("cloudlet-a") == ["r1"]
-    view = inv.snapshot()
-    assert view.nodes["cloudlet-a"].allocated.is_zero()
-    assert view.links["wan"].reserved_mbps == Fraction(1, 2)
+    assert inv.allocated("cloudlet-a").is_zero()
+    assert inv.reserved()["wan"] == Fraction(1, 2)
     assert [p.request_id for p in inv.placements()] == ["r2"]
     doc = inv.state_document()
     assert list(doc["placements"]) == ["r2"]
@@ -197,20 +189,21 @@ def test_double_commit_is_invalid(inv):
     assert inv.state_document() == before
     inv.evict_placements_on("cloudlet-a")
     inv.place(placement("r1", "cloud", ResourceVector(1, 0, 0)))
-    nodes = inv.snapshot().nodes
-    assert nodes["cloud"].allocated == ResourceVector(1, 0, 0)
-    assert nodes["cloudlet-a"].allocated.is_zero()
+    assert inv.allocated("cloud") == ResourceVector(1, 0, 0)
+    assert inv.allocated("cloudlet-a").is_zero()
 
 
 def test_release_restores_pre_hold_state(inv):
     # Evicting a placement returns everything placing it took.
-    before = inv.snapshot()
+    def reads():
+        doc = inv.state_document()
+        return doc["nodes"], doc["links"], dict(inv.residuals())
+
+    before = reads()
     inv.place(placement("r1", "cloudlet-a", ResourceVector(2, 2048, 10)),
               [BandwidthBooking(path=("lan-a",), mbps=Fraction(4))])
     inv.evict_placements_on("cloudlet-a")
-    after = inv.snapshot()
-    assert before.nodes == after.nodes
-    assert before.links == after.links
+    assert reads() == before
 
 
 def test_release_committed_is_invalid(inv):
@@ -219,7 +212,7 @@ def test_release_committed_is_invalid(inv):
     inv.place(placement("r1", "cloudlet-a", ResourceVector(1, 0, 0)),
               [BandwidthBooking(path=("wan",), mbps=Fraction(1))])
     inv.release_placement_bandwidth("r1", ("wan",), Fraction(1))
-    assert inv.snapshot().nodes["cloudlet-a"].allocated == ResourceVector(1, 0, 0)
+    assert inv.allocated("cloudlet-a") == ResourceVector(1, 0, 0)
     before = inv.state_document()
     with pytest.raises(InventoryError, match="books no"):
         inv.release_placement_bandwidth("r1", ("wan",), Fraction(1))
@@ -231,7 +224,7 @@ def test_release_then_hold_same_amounts(inv):
     inv.place(placement("r1", "cloudlet-a", full))
     inv.evict_placements_on("cloudlet-a")
     inv.place(placement("r2", "cloudlet-a", full))
-    assert inv.snapshot().nodes["cloudlet-a"].free.is_zero()
+    assert inv.free("cloudlet-a").is_zero()
 
 
 def test_evict_empty_node(inv):
@@ -249,7 +242,7 @@ def test_evicting_fractional_vcpus_is_all_or_nothing(inv):
     except ValueError:
         assert inv.state_document() == before
     else:
-        assert inv.snapshot().nodes["cloudlet-a"].allocated.is_zero()
+        assert inv.allocated("cloudlet-a").is_zero()
         assert inv.placements() == []
 
 
@@ -358,14 +351,24 @@ def test_conservation_under_random_ops():
     booked = []  # (request id, booking) pairs still held
 
     def check_invariants():
-        view = inv.snapshot()
-        for state in view.nodes.values():
-            assert state.allocated.fits_within(state.capacity), state
-        for link in view.links.values():
-            assert 0 <= link.reserved_mbps <= link.capacity_mbps, link
+        # The running maps equal a fresh recomputation from the bookings.
+        crossing = {lid: Fraction(0) for lid in link_ids}
+        for rsv in inv.state_document()["reservations"].values():
+            for booking in rsv["network"]:
+                for lid in booking["path"]:
+                    crossing[lid] += Fraction(booking["mbps"])
+        assert dict(inv.reserved()) == crossing
+        for lid, link in topo.links.items():
+            reserved = inv.reserved()[lid]
+            assert 0 <= reserved <= link.bandwidth_mbps, lid
+            assert inv.residuals()[lid] == link.bandwidth_mbps - reserved, lid
+        for node in topo.nodes.values():
+            allocated = inv.allocated(node.id)
+            assert allocated.fits_within(node.capacity), node.id
+            assert inv.free(node.id) == node.capacity - allocated, node.id
 
     for step in range(2000):
-        op = rng.choice(["place", "place", "release", "evict"])
+        op = rng.choice(["place", "place", "release", "evict", "link"])
         if op == "place":
             resources = ResourceVector(
                 rng.choice([0, 0.5, 1, 2, 4]),
@@ -390,4 +393,6 @@ def test_conservation_under_random_ops():
         elif op == "evict":
             gone = set(inv.evict_placements_on(rng.choice(node_ids)))
             booked = [(r, b) for r, b in booked if r not in gone]
+        elif op == "link":
+            topo.set_link_state(rng.choice(link_ids), rng.random() < 0.6)
         check_invariants()

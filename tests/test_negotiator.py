@@ -76,16 +76,16 @@ def test_empty_queue_yields_empty_stream(reference_engine):
 
 
 def test_rejection_leaves_inventory_untouched(reference_engine):
-    before = reference_engine.inventory.snapshot()
+    before = reference_engine.inventory.state_document()
     reference_engine.submit({
         "component": {"name": "monster"},
         "requirements": [{"compute": {"vcpus": 10**6}}],
     })
     (record,) = reference_engine.process_pending()
     assert record.outcome == "rejected"
-    after = reference_engine.inventory.snapshot()
-    assert before.nodes == after.nodes
-    assert before.links == after.links
+    after = reference_engine.inventory.state_document()
+    assert before["nodes"] == after["nodes"]
+    assert before["links"] == after["links"]
 
 
 def test_flow_admission_rejection_reports_all_nodes(reference_engine):
@@ -137,8 +137,7 @@ def test_joint_bookings_across_requirements_share_links():
     (record,) = engine.process_pending()
     assert record.outcome == "rejected"
     assert any(check == "flow_admission" for _n, check, _d in record.reasons)
-    view = engine.inventory.snapshot()
-    assert view.links["thin"].reserved_mbps == 0  # nothing half-booked
+    assert engine.inventory.reserved()["thin"] == 0  # nothing half-booked
 
 
 def test_unreachable_uncovered_flow_rejects(reference_engine):
@@ -216,7 +215,7 @@ def test_negotiation_writes_nothing(reference_engine):
     before = engine.inventory.state_document()
     request = validate_request(camera_app_doc(svs=True), request_id="probe")
     outcome = negotiator.negotiate(
-        request, engine.inventory.snapshot(), engine.topo, engine.config,
+        request, engine.inventory, engine.topo, engine.config,
         pending_flows=(), placements_by_component={}, allocate_flow_id=lambda: "f",
     )
     assert isinstance(outcome, negotiator.Accepted)

@@ -25,28 +25,28 @@ def topo():
 
 
 @pytest.fixture
-def view(topo):
-    return Inventory(topo).snapshot()
+def inv(topo):
+    return Inventory(topo)
 
 
 def verdict_map(verdicts):
     return {v.node_id: v for v in verdicts}
 
 
-def test_location_requirement_filters_regions(topo, view):
+def test_location_requirement_filters_regions(topo, inv):
     req = request({
         "component": {"name": "anonymizer"},
         "requirements": [{"location": {"region": "metro-a"}}],
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, CONFIG))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, CONFIG))
     assert not verdicts["cloud"].passed
     assert verdicts["cloudlet-a"].passed
     assert verdicts["gateway-a"].passed
 
 
-def test_empty_requirements_pass_everywhere(topo, view):
+def test_empty_requirements_pass_everywhere(topo, inv):
     req = request({"component": {"name": "x"}, "requirements": []})
-    verdicts = feasible_nodes(req, view, topo, CONFIG)
+    verdicts = feasible_nodes(req, inv, topo, CONFIG)
     assert all(v.passed for v in verdicts)
     assert len(verdicts) == 3  # hostable nodes only
 
@@ -54,32 +54,32 @@ def test_empty_requirements_pass_everywhere(topo, view):
 def test_best_effort_requirement_still_needs_connectivity(topo):
     topo.set_link_state("wan", False)
     topo.set_link_state("lan-a", False)
-    view = Inventory(topo).snapshot()
+    inv = Inventory(topo)
     req = request({
         "component": {"name": "x"},
         "requirements": [{"network": {"endpoint": "camera-1"}}],  # best effort
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, CONFIG))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, CONFIG))
     assert not verdicts["cloud"].passed
     assert "unreachable" in verdicts["cloud"].failures()[0].detail
     # The camera's own gateway is still fine: empty path.
     assert verdicts["gateway-a"].passed
 
 
-def test_bandwidth_threshold_filters_thin_uplink(topo, view):
+def test_bandwidth_threshold_filters_thin_uplink(topo, inv):
     req = request({
         "component": {"name": "face_detection"},
         "requirements": [
             {"network": {"profile": "signaling_and_video_streaming", "endpoint": "camera-1"}}
         ],
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, CONFIG))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, CONFIG))
     assert not verdicts["cloud"].passed  # 2 Mbit/s bottleneck < 4 floor
     assert verdicts["cloudlet-a"].passed
     assert verdicts["gateway-a"].passed
 
 
-def test_latency_threshold_filters(topo, view):
+def test_latency_threshold_filters(topo, inv):
     config = EngineConfig()
     req = request({
         "component": {"name": "x"},
@@ -87,13 +87,13 @@ def test_latency_threshold_filters(topo, view):
             {"network": {"profile": "interactive_real_time_video", "endpoint": "camera-1"}}
         ],
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, config))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, config))
     # cloud path latency 42 ms > 50? no: 40+2=42 <= 50, but bandwidth 2 < 4 fails it.
     assert not verdicts["cloud"].passed
     assert verdicts["cloudlet-a"].passed  # 2 ms, 100 Mbit/s
 
 
-def test_covered_flow_rate_beyond_bottleneck_fails(topo, view):
+def test_covered_flow_rate_beyond_bottleneck_fails(topo, inv):
     req = request({
         "component": {
             "name": "x",
@@ -101,32 +101,32 @@ def test_covered_flow_rate_beyond_bottleneck_fails(topo, view):
         },
         "requirements": [{"network": {"endpoint": "camera-1"}}],
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, CONFIG))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, CONFIG))
     assert not verdicts["cloudlet-a"].passed  # 200 > 100 Mbit/s LAN
     assert verdicts["gateway-a"].passed      # co-located, empty path
 
 
-def test_compute_shortfall_reported_per_node(topo, view):
+def test_compute_shortfall_reported_per_node(topo, inv):
     req = request({
         "component": {"name": "x"},
         "requirements": [{"compute": {"vcpus": 1_000_000}}],
     })
-    verdicts = feasible_nodes(req, view, topo, CONFIG)
+    verdicts = feasible_nodes(req, inv, topo, CONFIG)
     assert all(not v.passed for v in verdicts)
     for v in verdicts:
         assert "vcpus shortfall" in v.failures()[0].detail
 
 
-def test_access_label_match(topo, view):
+def test_access_label_match(topo, inv):
     doc = reference_topology_doc()
     doc["nodes"][1]["labels"] = ["gpu"]
     topo = load_topology(doc)
-    view = Inventory(topo).snapshot()
+    inv = Inventory(topo)
     req = request({
         "component": {"name": "x"},
         "requirements": [{"access": {"label": "gpu"}}],
     })
-    verdicts = verdict_map(feasible_nodes(req, view, topo, CONFIG))
+    verdicts = verdict_map(feasible_nodes(req, inv, topo, CONFIG))
     assert verdicts["cloudlet-a"].passed
     assert not verdicts["cloud"].passed
 
@@ -134,10 +134,10 @@ def test_access_label_match(topo, view):
 # -- priority ---------------------------------------------------------------------
 
 
-def score(node_id, req, view, topo, config=CONFIG):
+def score(node_id, req, inv, topo, config=CONFIG):
     """priority() fed the node's own filter verdict's path metrics, as negotiate does."""
-    (verdict,) = [v for v in feasible_nodes(req, view, topo, config) if v.node_id == node_id]
-    return priority(node_id, req, view, topo, config, verdict.path_metrics)
+    (verdict,) = [v for v in feasible_nodes(req, inv, topo, config) if v.node_id == node_id]
+    return priority(node_id, req, inv, topo, config, verdict.path_metrics)
 
 
 def test_full_node_scores_039():
@@ -147,22 +147,22 @@ def test_full_node_scores_039():
     topo = load_topology({"nodes": [
         {"id": "gw", "tier": "edge_gateway", "vcpus": 2, "ram_mib": 512, "disk_gib": 4},
     ]})
-    view = Inventory(topo).snapshot()
+    inv = Inventory(topo)
     req = request({
         "component": {"name": "x"},
         "requirements": [{"compute": {"vcpus": 2, "ram_mib": 512, "disk_gib": 4}}],
     })
-    scored = score("gw", req, view, topo)
+    scored = score("gw", req, inv, topo)
     assert scored.subscores["capacity_fit"] == 0.0
     assert scored.subscores["network_slack"] == 1.0
     assert scored.subscores["tier_preference"] == 0.3
     assert scored.score == pytest.approx(0.39)
 
 
-def test_default_request_prefers_cloud(topo, view):
+def test_default_request_prefers_cloud(topo, inv):
     req = request({"component": {"name": "x"}, "requirements": []})
-    cloud = score("cloud", req, view, topo)
-    cloudlet = score("cloudlet-a", req, view, topo)
+    cloud = score("cloud", req, inv, topo)
+    cloudlet = score("cloudlet-a", req, inv, topo)
     assert cloud.score > cloudlet.score
 
 
@@ -174,25 +174,25 @@ def test_identical_nodes_score_identically():
         ],
         "links": [{"id": "l", "a": "a", "b": "b", "bandwidth_mbps": 10, "latency_ms": 1}],
     })
-    view = Inventory(topo).snapshot()
+    inv = Inventory(topo)
     req = request({"component": {"name": "x"}, "requirements": []})
-    assert score("a", req, view, topo).score == \
-        score("b", req, view, topo).score
+    assert score("a", req, inv, topo).score == \
+        score("b", req, inv, topo).score
 
 
-def test_compute_profile_reweights_capacity_fit(topo, view):
+def test_compute_profile_reweights_capacity_fit(topo, inv):
     # Memory-optimized weighting punishes the RAM-poor gateway harder.
     base = request({"component": {"name": "x"},
                     "requirements": [{"compute": {"vcpus": 1, "ram_mib": 512, "disk_gib": 1}}]})
     mem = request({"component": {"name": "x"},
                    "requirements": [{"compute": {"profile": "memory_optimized",
                                                  "vcpus": 1, "ram_mib": 512, "disk_gib": 1}}]})
-    gw_base = score("gateway-a", base, view, topo).subscores["capacity_fit"]
-    gw_mem = score("gateway-a", mem, view, topo).subscores["capacity_fit"]
+    gw_base = score("gateway-a", base, inv, topo).subscores["capacity_fit"]
+    gw_mem = score("gateway-a", mem, inv, topo).subscores["capacity_fit"]
     assert gw_mem < gw_base
 
 
-def test_network_slack_saturates_at_twice_the_floor(topo, view):
+def test_network_slack_saturates_at_twice_the_floor(topo, inv):
     req = request({
         "component": {"name": "x"},
         "requirements": [
@@ -200,7 +200,7 @@ def test_network_slack_saturates_at_twice_the_floor(topo, view):
         ],
     })
     # cloudlet path bottleneck 100 vs floor 4: headroom far beyond 2x -> 1.0
-    scored = score("cloudlet-a", req, view, topo)
+    scored = score("cloudlet-a", req, inv, topo)
     assert scored.subscores["network_slack"] == 1.0
 
 
@@ -229,7 +229,7 @@ def test_capacity_fit_monotone_in_free_capacity(free, more):
             inv.place(Placement("pad", "t", "pad", "n", ResourceVector(used, 0, 0)))
         req = request({"component": {"name": "x"},
                        "requirements": [{"compute": {"vcpus": 0, "ram_mib": 0, "disk_gib": 0}}]})
-        return score("n", req, inv.snapshot(), topo).subscores["capacity_fit"]
+        return score("n", req, inv, topo).subscores["capacity_fit"]
 
     assert fit(free + more) >= fit(free)
 
@@ -239,16 +239,15 @@ def test_capacity_fit_monotone_in_free_capacity(free, more):
 
 def brute_force_choice(engine, doc):
     """Independent re-derivation: re-run filter checks and scoring arithmetic
-    directly from the snapshot, then argmax with the lexicographic tie-break."""
+    directly from the inventory, then argmax with the lexicographic tie-break."""
     req = validate_request(doc, request_id="probe")
-    view = engine.inventory.snapshot()
+    inv = engine.inventory
     topo = engine.topo
     config = engine.config
     best = None
     for node in topo.hostable_nodes:
-        state = view.nodes[node.id]
         footprint = req.compute.request if req.compute else config.default_footprint
-        if not footprint.fits_within(state.free):
+        if not footprint.fits_within(inv.free(node.id)):
             continue
         if req.location and node.region != req.location.region:
             continue
@@ -261,11 +260,11 @@ def brute_force_choice(engine, doc):
             row = config.threshold_for(net.profile)
             try:
                 path = topo.path_between(node.id, topo.endpoint_node(net.endpoint),
-                                         view.residuals())
+                                         inv.residuals())
             except Exception:
                 feasible = False
                 break
-            metrics = topo.path_metrics(path, view.residuals())
+            metrics = topo.path_metrics(path, inv.residuals())
             path_metrics.append(metrics)
             covered = sum((f.rate_mbps for f in req.component.flows_with_endpoint(net.endpoint)),
                           Fraction(0))
@@ -286,7 +285,7 @@ def brute_force_choice(engine, doc):
                 slack_terms.append(1.0)
         if not feasible:
             continue
-        scored = priority(node.id, req, view, topo, config, path_metrics)
+        scored = priority(node.id, req, inv, topo, config, path_metrics)
         key = (-scored.score, node.id)
         if best is None or key < best[0]:
             best = (key, node.id)

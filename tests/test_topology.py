@@ -8,7 +8,7 @@ from foglet.topology import (
     TopologyError,
     Unreachable,
     load_topology,
-    topology_from_snapshot,
+    topology_from_document,
     topology_to_document,
 )
 from tests.conftest import reference_topology_doc
@@ -285,7 +285,7 @@ def test_removing_chosen_link_never_widens_equal_hop_path(params):
 def test_snapshot_round_trip_preserves_link_state():
     topo = load_topology(reference_topology_doc())
     topo.set_link_state("wan", False)
-    clone = topology_from_snapshot(topology_to_document(topo))
+    clone = topology_from_document(topology_to_document(topo))
     assert clone.links["wan"].up is False
     assert clone.links["lan-a"].up is True
     assert topology_to_document(clone) == topology_to_document(topo)
