@@ -14,7 +14,7 @@ import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .engine import Engine, EngineError
 from .model import ReferenceError_, ValidationError
@@ -23,6 +23,8 @@ from .topology import TopologyError
 log = logging.getLogger("foglet.http")
 
 _ROUTES = []
+MAX_BODY_BYTES = 1 << 20  # larger bodies are refused with 413
+_DIGITS = re.compile(r"[0-9]+")  # RFC 9112 §6.3: Content-Length = 1*DIGIT
 
 
 class BadRequest(Exception):
@@ -60,16 +62,45 @@ class ApiHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int, error: str, detail: str) -> None:
+        """Answer a body that Content-Length does not frame, and close the
+        connection: what follows in the stream cannot be told from the next
+        request."""
+        self.close_connection = True
+        self._send(status, {"error": error, "detail": detail})
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body as its Content-Length frames it; b"" without one.
+        A body framed any other way is not read: the request is refused and
+        None is returned."""
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411, "length_required",
+                         "Transfer-Encoding is not supported; send Content-Length")
+            return None
+        lengths = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ())}
+        if not lengths:
+            return b""
+        value = lengths.pop()
+        if lengths or not _DIGITS.fullmatch(value):
+            self._refuse(400, "bad_length", "Content-Length must be one decimal number")
+            return None
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self._refuse(413, "too_large", f"body over {MAX_BODY_BYTES} bytes")
+            return None
+        return self.rfile.read(int(digits))
+
     def _read_json(self) -> dict:
         """The body as a JSON object; an empty body reads as {}."""
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        doc = json.loads(raw) if raw else {}
+        doc = json.loads(self._body) if self._body else {}
         if not isinstance(doc, dict):
             raise BadRequest("body must be a JSON object")
         return doc
 
     def _dispatch(self, method: str) -> None:
+        self._body = self._read_body()
+        if self._body is None:
+            return
         for m, pattern, fn in _ROUTES:
             if m != method:
                 continue

@@ -1,4 +1,5 @@
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -223,3 +224,77 @@ def test_queue_worker_survives_a_failed_pass(server, monkeypatch):
     _, later = call(server, "POST", "/v1/requests", store_app_doc("later"))
     assert poll_terminal(server, later["id"])["state"] == "placed"
     assert poll_terminal(server, first["id"])["state"] == "placed"
+
+
+# -- message framing: every request gets exactly one JSON reply ---------------------
+
+
+def raw_exchange(server, data, timeout=2.0):
+    """Send raw bytes on a new connection and read until the server closes it
+    (socket.timeout if it does not within `timeout` seconds). Returns each
+    reply as (status, headers, JSON body); every reply must be JSON."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=timeout) as sock:
+        sock.sendall(data)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    replies = []
+    while received:
+        head, sep, rest = received.partition(b"\r\n\r\n")
+        assert sep, received
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {k.lower(): v for k, v in (line.split(": ", 1) for line in lines)}
+        assert headers["content-type"] == "application/json", received
+        length = int(headers["content-length"])
+        replies.append((int(status_line.split()[1]), headers, json.loads(rest[:length])))
+        received = rest[length:]
+    return replies
+
+
+BODY = b'{"component": {"name": "x"}}'
+
+
+@pytest.mark.parametrize("framing,body,status,error", [
+    (b"Content-Length: -1", BODY, 400, "bad_length"),
+    (b"Content-Length: abc", BODY, 400, "bad_length"),
+    (b"Content-Length: 1e3", BODY, 400, "bad_length"),
+    (b"Content-Length: 28\r\nContent-Length: 27", BODY, 400, "bad_length"),
+    (b"Content-Length: 99999999999999999999", BODY, 413, "too_large"),
+    (b"Content-Length: 1048577", BODY, 413, "too_large"),
+    (b"Transfer-Encoding: chunked", b"1c\r\n" + BODY + b"\r\n0\r\n\r\n", 411,
+     "length_required"),
+    (b"Transfer-Encoding: chunked\r\nContent-Length: 28", BODY, 411, "length_required"),
+], ids=["negative", "not-digits", "exponent", "conflicting", "overflow", "over-limit",
+        "chunked", "chunked-with-length"])
+def test_badly_framed_body_gets_one_json_error_and_a_close(server, framing, body,
+                                                          status, error):
+    request = b"POST /v1/requests HTTP/1.1\r\nHost: t\r\n" + framing + b"\r\n\r\n" + body
+    [(got, _, payload)] = raw_exchange(server, request)  # and then a close
+    assert (got, payload["error"]) == (status, error)
+    # Nothing was submitted, and a valid request on a new connection succeeds.
+    assert call(server, "GET", "/v1/requests") == (200, [])
+    _, submitted = call(server, "POST", "/v1/requests", store_app_doc())
+    assert poll_terminal(server, submitted["id"])["state"] == "placed"
+
+
+def test_body_of_a_get_is_read_and_not_taken_for_the_next_request(server):
+    stream = (
+        b"GET /v1/nodes HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello"
+        b"GET /v1/report HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    (s1, _, nodes), (s2, _, report) = raw_exchange(server, stream)
+    assert (s1, s2) == (200, 200)
+    assert [n["id"] for n in nodes] == ["cloud", "cloudlet-a", "gateway-a"]
+    assert report["horizon_s"] == 0
+
+
+def test_content_length_with_leading_zeros_and_spaces_is_read(server):
+    stream = (
+        b"POST /v1/requests HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+        b"Content-Length:  0028 \r\n\r\n" + BODY
+    )
+    [(status, _, payload)] = raw_exchange(server, stream)
+    assert (status, payload["state"]) == (202, "queued")
